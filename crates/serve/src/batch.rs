@@ -1,91 +1,24 @@
-//! The micro-batching core: job types, the pure batched scorer, and
-//! its panic-isolated wrapper.
+//! The batched scorer and its panic-isolated wrapper.
 //!
-//! Acceptor threads enqueue [`ScoreJob`]s into a bounded channel; the
-//! scorer thread drains up to `max_batch` jobs (or until the batch
-//! deadline) and runs **one** batched forward pass via
-//! [`score_rows`]. The contract — pinned by this crate's proptests —
-//! is that batched scores are bit-identical to scoring each row alone,
-//! so batching is purely a throughput optimization, never a semantic
-//! one.
+//! Each shard event loop gathers the cache misses admitted during a
+//! batch window (up to `max_batch` rows) and runs **one** batched
+//! forward pass inline via [`score_rows_isolated`]. The contract —
+//! pinned by this crate's proptests — is that batched scores are
+//! bit-identical to scoring each row alone, so batching is purely a
+//! throughput optimization, never a semantic one.
 //!
 //! [`score_rows_isolated`] hardens that hot path: the batched forward
 //! runs under `catch_unwind`, and if it panics (or errors) every row is
 //! re-scored alone, each under its own `catch_unwind`, so a poisoned
 //! row fails by itself with a typed `internal` error while its
 //! batchmates still get their bit-exact scores — one bad request can
-//! never kill the scorer loop or starve the batch.
+//! never kill the shard loop or starve the batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
 
 use maleva_nn::{Network, NnError};
 
-use crate::error::ServeError;
 use crate::fault::{FaultInjector, FaultSite};
-
-/// One pending scoring request travelling from a connection thread to
-/// the scorer thread.
-pub struct ScoreJob {
-    /// Transformed feature row (already through the feature pipeline).
-    pub features: Vec<f64>,
-    /// Quantized cache key for post-scoring insertion.
-    pub cache_key: Vec<i64>,
-    /// Where the scorer sends the result: the score, or the typed
-    /// error for a row that failed in isolation.
-    pub reply: mpsc::Sender<Result<ScoredReply, ServeError>>,
-    /// Wire trace id propagated from the client (`0` when absent), so
-    /// batch spans can be tagged with every member's trace.
-    pub trace_id: u64,
-    /// The client's wire span id for this attempt (`0` when absent).
-    pub client_span: u64,
-    /// When the connection thread enqueued the job; the gap to
-    /// `received_at` is the `queue_wait` stage.
-    pub enqueued_at: Instant,
-    /// When the scorer popped the job off the queue, stamped by
-    /// [`collect_batch`]; the gap to batch execution is `batch_wait`.
-    pub received_at: Instant,
-}
-
-impl ScoreJob {
-    /// Builds a job stamped "enqueued now" with no trace context; the
-    /// caller sets `trace_id` / `client_span` when the wire carried one.
-    pub fn new(
-        features: Vec<f64>,
-        cache_key: Vec<i64>,
-        reply: mpsc::Sender<Result<ScoredReply, ServeError>>,
-    ) -> Self {
-        let now = Instant::now();
-        ScoreJob {
-            features,
-            cache_key,
-            reply,
-            trace_id: 0,
-            client_span: 0,
-            enqueued_at: now,
-            received_at: now,
-        }
-    }
-}
-
-/// The scorer's answer to one [`ScoreJob`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoredReply {
-    /// Malware confidence in `[0, 1]`.
-    pub score: f64,
-    /// Number of rows in the batch this job was scored with.
-    pub batch_size: usize,
-    /// Time the job sat in the scoring queue before the scorer popped it.
-    pub queue_wait: Duration,
-    /// Time the job waited inside the forming batch before execution.
-    pub batch_wait: Duration,
-    /// Time spent in the batched forward pass (shared by the batch).
-    pub inference: Duration,
-    /// Generation of the model that scored this batch (0 = the boot
-    /// model; see [`crate::reload::ModelSlot`]).
-    pub generation: u64,
-}
 
 /// Scores `rows` (transformed features) in one batched forward pass,
 /// returning the malware confidence (class-1 probability) per row.
@@ -198,45 +131,6 @@ pub fn score_rows_isolated(
         batch_failed: true,
         row_failures,
     }
-}
-
-/// Drains one micro-batch from `rx`: blocks for the first job, then
-/// keeps collecting until `max_batch` jobs are gathered or
-/// `batch_timeout` elapses since the first arrival. Returns `None` once
-/// the channel is disconnected and empty (drain complete).
-///
-/// Each job's `received_at` is stamped as it is popped, ending its
-/// `queue_wait` stage and starting its `batch_wait`.
-pub fn collect_batch(
-    rx: &mpsc::Receiver<ScoreJob>,
-    max_batch: usize,
-    batch_timeout: Duration,
-) -> Option<Vec<ScoreJob>> {
-    let mut first = rx.recv().ok()?;
-    first.received_at = Instant::now();
-    let mut jobs = vec![first];
-    let deadline = Instant::now() + batch_timeout;
-    while jobs.len() < max_batch {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let job = if remaining.is_zero() {
-            // Deadline passed: take whatever is already queued, but do
-            // not wait for stragglers.
-            match rx.try_recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            }
-        } else {
-            match rx.recv_timeout(remaining) {
-                Ok(job) => job,
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        };
-        let mut job = job;
-        job.received_at = Instant::now();
-        jobs.push(job);
-    }
-    Some(jobs)
 }
 
 #[cfg(test)]
@@ -358,57 +252,5 @@ mod tests {
             }
         }
         assert_eq!(failed, 1);
-    }
-
-    #[test]
-    fn collect_batch_honors_max_batch() {
-        let (tx, rx) = mpsc::sync_channel::<ScoreJob>(16);
-        let (reply, _keep) = mpsc::channel();
-        for _ in 0..5 {
-            tx.try_send(ScoreJob::new(vec![0.0; 4], vec![], reply.clone()))
-                .unwrap();
-        }
-        let batch = collect_batch(&rx, 3, Duration::from_millis(50)).unwrap();
-        assert_eq!(batch.len(), 3);
-        let batch = collect_batch(&rx, 3, Duration::from_millis(1)).unwrap();
-        assert_eq!(batch.len(), 2);
-    }
-
-    #[test]
-    fn collect_batch_returns_none_when_disconnected() {
-        let (tx, rx) = mpsc::sync_channel::<ScoreJob>(4);
-        drop(tx);
-        assert!(collect_batch(&rx, 8, Duration::from_millis(1)).is_none());
-    }
-
-    #[test]
-    fn collect_batch_drains_leftovers_after_disconnect() {
-        let (tx, rx) = mpsc::sync_channel::<ScoreJob>(4);
-        let (reply, _keep) = mpsc::channel();
-        for _ in 0..2 {
-            tx.try_send(ScoreJob::new(vec![], vec![], reply.clone()))
-                .unwrap();
-        }
-        drop(tx);
-        let batch = collect_batch(&rx, 8, Duration::from_millis(1)).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(collect_batch(&rx, 8, Duration::from_millis(1)).is_none());
-    }
-
-    #[test]
-    fn collect_batch_stamps_received_at_per_job() {
-        let (tx, rx) = mpsc::sync_channel::<ScoreJob>(4);
-        let (reply, _keep) = mpsc::channel();
-        let job = ScoreJob::new(vec![], vec![], reply.clone());
-        let enqueued = job.enqueued_at;
-        tx.try_send(job).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        let batch = collect_batch(&rx, 1, Duration::from_millis(1)).unwrap();
-        let popped = &batch[0];
-        assert!(popped.received_at >= enqueued);
-        assert!(
-            popped.received_at.duration_since(enqueued) >= Duration::from_millis(4),
-            "queue wait should cover the sleep"
-        );
     }
 }

@@ -3,21 +3,24 @@
 //!
 //! The paper's detector is an operational product: a fleet of clients
 //! submits PE samples and gets verdicts back. This crate is that
-//! serving hot path for the reproduction — a multi-threaded
-//! `std::net` server speaking newline-delimited JSON
-//! (see [`protocol`]) with the structure production scorers use:
+//! serving hot path for the reproduction — a `std::net` server
+//! speaking newline-delimited JSON (see [`protocol`]) with the
+//! structure production scorers use:
 //!
 //! * **sharded event loops** ([`reactor`]) — `ServeConfig::shards`
-//!   independent poll-based event loops, with connections pinned to a
-//!   shard by accept round-robin; each shard owns its own batch queue,
-//!   LRU cache, sentinel window, and metrics, merged on demand for
-//!   `{"cmd": "stats"}` and the Prometheus exposition so the hot path
-//!   never contends across shards;
-//! * **micro-batching** ([`batch`]) — requests queue into a bounded
-//!   channel; the scorer thread drains up to `max_batch` rows and runs
-//!   one batched forward pass, with batched scores **bit-identical**
-//!   to per-row scoring (batching is a throughput optimization, never
-//!   a semantic change);
+//!   independent poll-based event loops, one thread each, with
+//!   connections pinned to a shard by accept round-robin; each shard
+//!   reads, scores, and writes on its own thread and owns its pending
+//!   misses, LRU cache, sentinel window, and metrics, merged on demand
+//!   for `{"cmd": "stats"}` and the Prometheus exposition so the hot
+//!   path never contends across shards. Connections may pipeline, and
+//!   replies leave in request order through non-blocking buffered
+//!   writes, so a peer that stops reading cannot stall its shard;
+//! * **micro-batching** ([`batch`]) — each shard gathers the cache
+//!   misses admitted during a batch window (up to `max_batch` rows)
+//!   and runs one batched forward pass inline, with batched scores
+//!   **bit-identical** to per-row scoring (batching is a throughput
+//!   optimization, never a semantic change);
 //! * **atomic hot reload** ([`reload`]) — `{"cmd": "reload"}` (or
 //!   `maleva reload`) loads new weights from a pipeline/network export
 //!   or a checkpoint directory, validates them, and `Arc`-swaps the
@@ -26,12 +29,12 @@
 //!   attributable to exactly one generation;
 //! * **LRU score cache** ([`cache`]) — keyed by the quantized feature
 //!   vector, answering repeats without touching the network;
-//! * **backpressure** — a full queue yields a typed
-//!   [`ServeError::Overloaded`] response instead of blocking, and
-//!   shutdown drains in-flight work before stopping;
+//! * **backpressure** — a shard with too many misses waiting answers
+//!   new ones with a typed [`ServeError::Overloaded`] instead of
+//!   queueing them, and shutdown drains in-flight work before stopping;
 //! * **resilience** ([`fault`]) — per-request deadlines
 //!   (`deadline_exceeded`), admission control that sheds load by queue
-//!   depth with a `retry_after_ms` hint, a panic-isolated scorer loop
+//!   depth with a `retry_after_ms` hint, panic-isolated batch scoring
 //!   ([`batch::score_rows_isolated`]), a `{"cmd": "health"}` endpoint,
 //!   and a deterministic seedable fault injector (`MALEVA_FAULTS`)
 //!   driving the chaos soak tests;
@@ -66,7 +69,7 @@
 //! handle.join(); // until a client sends {"cmd": "shutdown"}
 //! ```
 
-// The crate is unsafe-free except for the `poll(2)` FFI confined to
+// The crate is unsafe-free except for the `ppoll(2)` FFI confined to
 // `reactor::sys`, which opts back in locally with a SAFETY argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,7 +25,7 @@ pub struct Metrics {
     registry: Registry,
     /// Score requests received (valid enough to reach scoring or cache).
     pub requests: Arc<Counter>,
-    /// Batches executed by the scorer thread.
+    /// Batches executed by the shard loops.
     pub batches: Arc<Counter>,
     /// Rows scored through batches (misses that ran the network).
     pub rows_scored: Arc<Counter>,
@@ -37,13 +37,13 @@ pub struct Metrics {
     pub errors: Arc<Counter>,
     /// Requests rejected with `overloaded` (also counted in `errors`).
     pub overloaded: Arc<Counter>,
-    /// Overload rejections made by admission control *before* the
-    /// queue was full (subset of `overloaded`).
+    /// Overload rejections made by admission control (every
+    /// `overloaded` answer comes from that one check).
     pub shed: Arc<Counter>,
     /// Requests answered with `deadline_exceeded` (also in `errors`).
     pub deadline_exceeded: Arc<Counter>,
     /// Batches whose forward pass panicked (or errored) and fell back
-    /// to per-row scoring — the scorer loop survived each one.
+    /// to per-row scoring — the shard loop survived each one.
     pub scorer_panics: Arc<Counter>,
     /// Rows that failed even the per-row fallback and were answered
     /// with a typed `internal` error.
@@ -63,9 +63,12 @@ pub struct Metrics {
     pub sentinel_flagged: Arc<Counter>,
     /// Clients currently tracked by the sentinel.
     pub sentinel_tracked_clients: Arc<Gauge>,
-    /// Jobs currently waiting in the scoring queue.
+    /// Admitted cache misses not yet answered (waiting for, or held
+    /// in, their batch).
     pub queue_depth: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
+    /// Live score cache entries, set by the shard loop that owns the
+    /// cache.
+    pub cache_entries: Arc<Gauge>,
     latency_us: Arc<Histogram>,
     batch_size: Arc<Histogram>,
     /// Per-stage latency histograms, in pipeline order:
@@ -79,15 +82,18 @@ pub struct Metrics {
 /// cache hit has zero `queue_wait`/`batch_wait`/`inference`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimes {
-    /// Time in the scoring queue before the scorer popped the job.
+    /// Time behind earlier batches of the same flush (zero when the
+    /// flush fit in one batch).
     pub queue_wait: Duration,
-    /// Time inside the forming batch before execution started.
+    /// Time from admission until the miss's flush began (the batch
+    /// window).
     pub batch_wait: Duration,
     /// Time spent in the score-cache lookup.
     pub cache_lookup: Duration,
     /// Time spent consulting and updating the sentinel.
     pub sentinel_check: Duration,
-    /// Time in the batched forward pass (shared across the batch).
+    /// Time in the miss's own batch: the batched forward pass plus any
+    /// injected `ScoreDelay` hold.
     pub inference: Duration,
     /// Time encoding and writing the response line.
     pub serialize: Duration,
@@ -119,7 +125,10 @@ impl Metrics {
     pub fn new() -> Self {
         let registry = Registry::new();
         let requests = registry.counter("serve_requests_total", "Score requests received.");
-        let batches = registry.counter("serve_batches_total", "Batches executed by the scorer.");
+        let batches = registry.counter(
+            "serve_batches_total",
+            "Batches executed by the shard loops.",
+        );
         let rows_scored =
             registry.counter("serve_rows_scored_total", "Rows scored through batches.");
         let cache_hits = registry.counter("serve_cache_hits_total", "Score cache hits.");
@@ -127,10 +136,7 @@ impl Metrics {
         let errors = registry.counter("serve_errors_total", "Typed error responses sent.");
         let overloaded =
             registry.counter("serve_overloaded_total", "Requests rejected as overloaded.");
-        let shed = registry.counter(
-            "serve_shed_total",
-            "Requests shed by admission control before the queue filled.",
-        );
+        let shed = registry.counter("serve_shed_total", "Requests shed by admission control.");
         let deadline_exceeded = registry.counter(
             "serve_deadline_exceeded_total",
             "Requests answered with deadline_exceeded.",
@@ -171,7 +177,10 @@ impl Metrics {
             "serve_sentinel_tracked_clients",
             "Clients currently tracked by the sentinel.",
         );
-        let queue_depth = registry.gauge("serve_queue_depth", "Jobs waiting in the scoring queue.");
+        let queue_depth = registry.gauge(
+            "serve_queue_depth",
+            "Admitted cache misses not yet answered.",
+        );
         let cache_entries = registry.gauge("serve_cache_entries", "Live score cache entries.");
         let latency_us = registry.histogram(
             "serve_request_latency_us",
@@ -378,8 +387,8 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Overload rejections (subset of `errors`).
     pub overloaded: u64,
-    /// Admission-control rejections before the queue filled (subset of
-    /// `overloaded`).
+    /// Admission-control rejections (equal to `overloaded`: admission
+    /// is one check on the misses waiting).
     pub shed: u64,
     /// Requests answered with `deadline_exceeded` (subset of `errors`).
     pub deadline_exceeded: u64,
@@ -402,7 +411,7 @@ pub struct MetricsSnapshot {
     pub sentinel_flagged: u64,
     /// Clients tracked by the sentinel at snapshot time.
     pub sentinel_tracked_clients: u64,
-    /// Jobs waiting in the scoring queue at snapshot time.
+    /// Admitted cache misses not yet answered at snapshot time.
     pub queue_depth: u64,
     /// `rows_scored / batches`, 0 when no batches ran.
     pub mean_batch_size: f64,

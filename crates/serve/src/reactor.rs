@@ -1,13 +1,15 @@
 //! Minimal std-only readiness layer for the shard event loops.
 //!
 //! Each shard owns one [`Poller`] and blocks in [`Poller::poll`] until a
-//! pinned connection turns readable, its [`Waker`] is poked (new
-//! connection handed over by the acceptor, shutdown requested), or the
-//! timeout lapses (deadline bookkeeping). On Linux this is a thin safe
-//! wrapper over `poll(2)`; elsewhere a portable fallback reports every
-//! source ready after a short bounded wait, which is correct (if less
-//! efficient) because all connection I/O is non-blocking and handlers
-//! tolerate spurious readiness.
+//! pinned connection turns readable or writable, its [`Waker`] is poked
+//! (new connection handed over by the acceptor, shutdown requested), or
+//! the timeout lapses (batch window, deadlines). On Linux this is a thin
+//! safe wrapper over `ppoll(2)`, whose nanosecond timeout keeps a
+//! sub-millisecond batch-window remainder from being rounded up;
+//! elsewhere a portable fallback reports every source ready after a
+//! short bounded wait, which is correct (if less efficient) because all
+//! connection I/O is non-blocking and handlers tolerate spurious
+//! readiness.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -110,24 +112,17 @@ impl std::fmt::Debug for Poller {
     }
 }
 
-/// Blocks the calling thread until `stream` is writable or `timeout`
-/// lapses. Returns `true` if writable. Used by the blocking-style
-/// response writer when a non-blocking write returns `WouldBlock`.
-pub fn wait_writable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
-    sys::wait_writable_impl(stream, timeout)
-}
-
 #[cfg(any(target_os = "linux", target_os = "android"))]
 mod sys {
-    //! Safe wrapper over `poll(2)`. The only unsafe in the crate lives
+    //! Safe wrapper over `ppoll(2)`. The only unsafe in the crate lives
     //! here; the FFI signature matches the Linux/Android ABI (`nfds_t`
-    //! is `c_ulong` there — not true on e.g. Darwin, which takes the
-    //! portable fallback instead).
+    //! is `c_ulong` and `timespec` is two `c_long`s there — not true on
+    //! e.g. Darwin, which takes the portable fallback instead).
     #![allow(unsafe_code)]
 
     use std::net::TcpStream;
     use std::os::fd::AsRawFd;
-    use std::os::raw::{c_int, c_short, c_ulong};
+    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
     use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
@@ -145,24 +140,19 @@ mod sys {
         revents: c_short,
     }
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
     }
 
-    fn timeout_ms(timeout: Option<Duration>) -> c_int {
-        match timeout {
-            // poll(2) takes i32 milliseconds; round up so a 100µs
-            // deadline does not busy-spin at timeout 0.
-            Some(t) => {
-                let ms = t.as_millis().min(c_int::MAX as u128) as c_int;
-                if ms == 0 && !t.is_zero() {
-                    1
-                } else {
-                    ms
-                }
-            }
-            None => -1,
-        }
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
     }
 
     pub(super) fn poll_impl(
@@ -187,10 +177,26 @@ mod sys {
                 revents: 0,
             });
         }
+        let timespec = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: t.subsec_nanos() as c_long,
+        });
+        let timeout_ptr = timespec
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
         // SAFETY: `fds` is a live, properly initialized repr(C) slice
         // for the duration of the call and the length is its true
-        // length; poll(2) only writes within the passed array.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms(timeout)) };
+        // length; ppoll(2) only writes within the passed array, reads
+        // the timeout (live or null = wait indefinitely), and a null
+        // sigmask leaves the signal mask alone, as poll(2) would.
+        let rc = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                timeout_ptr,
+                std::ptr::null(),
+            )
+        };
         if rc < 0 {
             let err = std::io::Error::last_os_error();
             if err.kind() == std::io::ErrorKind::Interrupted {
@@ -212,27 +218,6 @@ mod sys {
             });
         }
         Ok(events.len())
-    }
-
-    pub(super) fn wait_writable_impl(
-        stream: &TcpStream,
-        timeout: Duration,
-    ) -> std::io::Result<bool> {
-        let mut fds = [PollFd {
-            fd: stream.as_raw_fd(),
-            events: POLLOUT,
-            revents: 0,
-        }];
-        // SAFETY: single live repr(C) element, true length 1.
-        let rc = unsafe { poll(fds.as_mut_ptr(), 1, timeout_ms(Some(timeout))) };
-        if rc < 0 {
-            let err = std::io::Error::last_os_error();
-            if err.kind() == std::io::ErrorKind::Interrupted {
-                return Ok(false);
-            }
-            return Err(err);
-        }
-        Ok(fds[0].revents & (POLLOUT | POLLERR | POLLHUP) != 0)
     }
 }
 
@@ -268,14 +253,6 @@ mod sys {
             });
         }
         Ok(events.len())
-    }
-
-    pub(super) fn wait_writable_impl(
-        _stream: &TcpStream,
-        timeout: Duration,
-    ) -> std::io::Result<bool> {
-        std::thread::sleep(timeout.min(TICK));
-        Ok(true)
     }
 }
 
@@ -356,7 +333,46 @@ mod tests {
 
     #[test]
     fn connected_stream_is_writable() {
+        let (mut poller, _waker) = Poller::new().expect("poller");
         let (client, _server) = pair();
-        assert!(wait_writable(&client, Duration::from_secs(1)).expect("wait"));
+        let mut events = Vec::new();
+        let n = poller
+            .poll(
+                &[(3, &client, Interest::Writable)],
+                Some(Duration::from_secs(2)),
+                &mut events,
+            )
+            .expect("poll");
+        assert_eq!(n, 1);
+        assert!(events[0].writable);
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_are_neither_early_nor_rounded_up() {
+        let (mut poller, _waker) = Poller::new().expect("poller");
+        let (client, _server) = pair();
+        let timeout = Duration::from_micros(200);
+        let mut events = Vec::new();
+        let mut elapsed: Vec<Duration> = (0..21)
+            .map(|_| {
+                let start = Instant::now();
+                poller
+                    .poll(
+                        &[(0, &client, Interest::Readable)],
+                        Some(timeout),
+                        &mut events,
+                    )
+                    .expect("poll");
+                start.elapsed()
+            })
+            .collect();
+        elapsed.sort();
+        assert!(elapsed[0] >= timeout, "returned early: {elapsed:?}");
+        // poll(2) with whole milliseconds would wait at least 1ms.
+        let median = elapsed[elapsed.len() / 2];
+        assert!(
+            median < Duration::from_micros(900),
+            "rounded up: {elapsed:?}"
+        );
     }
 }

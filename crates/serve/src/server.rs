@@ -5,17 +5,14 @@
 //! * **acceptor** — owns the `TcpListener` and pins each accepted
 //!   connection to a shard by round-robin, handing the socket over a
 //!   channel and poking that shard's [`crate::reactor::Waker`];
-//! * **shard event loops** (`ServeConfig::shards` of them, see
-//!   [`crate::shard`]) — each owns its connections, batch queue, LRU
-//!   cache, sentinel window, and metrics outright, multiplexing
-//!   non-blocking reads over a poll-based readiness layer
-//!   ([`crate::reactor`]); the hot path never takes a lock another
-//!   shard can touch;
-//! * **scorers** (one per shard) — drain micro-batches from their
-//!   shard's queue ([`crate::batch::collect_batch`]) and run one
-//!   batched forward pass per batch against the current
-//!   [`crate::reload::ModelSlot`] generation, then fan replies back
-//!   out and wake the owning shard.
+//! * **shard event loops** (`ServeConfig::shards` of them, one thread
+//!   each, see [`crate::shard`]) — each owns its connections, pending
+//!   misses, LRU cache, sentinel window, and metrics outright,
+//!   multiplexing non-blocking reads and writes over a poll-based
+//!   readiness layer ([`crate::reactor`]) and running each batched
+//!   forward pass inline against the current
+//!   [`crate::reload::ModelSlot`] generation; the hot path never takes
+//!   a lock another shard can touch.
 //!
 //! Cross-shard views (`{"cmd": "stats"}`, the Prometheus exposition,
 //! health, SLO evaluation) are merged on demand: every shard takes one
@@ -24,10 +21,9 @@
 //! always equal the per-shard sums, even mid-drain.
 //!
 //! Shutdown (`{"cmd": "shutdown"}` or [`ServerHandle::shutdown`]) is a
-//! drain, not an abort: the acceptor stops accepting, shards close idle
-//! connections but keep serving in-flight requests, and each scorer
-//! keeps scoring until its queue is empty and disconnected, so every
-//! enqueued request still receives its response.
+//! drain, not an abort: the acceptor stops accepting, and each shard
+//! stops reading, keeps scoring until every admitted request has its
+//! response, flushes every reply, and closes its connections.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,8 +36,6 @@ use maleva_obs::metrics::Gauge;
 use maleva_obs::slo::SloSpec;
 use maleva_obs::trace;
 
-use crate::batch::ScoreJob;
-use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -58,17 +52,19 @@ pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
     /// Independent shard event loops; connections are pinned to a
-    /// shard round-robin at accept. Each shard owns its own queue,
-    /// cache, sentinel window, and metrics. 1 preserves the exact
+    /// shard round-robin at accept. Each shard owns its own pending
+    /// misses, cache, sentinel window, and metrics. 1 preserves the exact
     /// single-domain behavior of earlier versions.
     pub shards: usize,
-    /// Maximum rows per batched forward pass (per shard).
+    /// Maximum rows per batched forward pass (per shard), and the most
+    /// unanswered requests one connection may pipeline.
     pub max_batch: usize,
-    /// How long the scorer waits for a batch to fill after the first
-    /// job arrives.
+    /// How long a shard waits for a batch to fill after the first miss
+    /// is admitted.
     pub batch_timeout: Duration,
-    /// Bounded per-shard scoring-queue capacity; a full queue yields
-    /// [`ServeError::Overloaded`] instead of blocking the client.
+    /// Per-shard bound on misses waiting for a batch; together with
+    /// `shed_queue_depth` it sets the admission limit past which new
+    /// misses get [`ServeError::Overloaded`] instead of waiting.
     pub queue_capacity: usize,
     /// Per-shard LRU score-cache capacity in entries; 0 disables the
     /// cache.
@@ -79,10 +75,10 @@ pub struct ServeConfig {
     /// budget gets a typed `deadline_exceeded` error instead of a
     /// connection that hangs on a slow or wedged scorer.
     pub request_deadline: Duration,
-    /// Admission-control threshold: when a shard's scoring queue
-    /// already holds at least this many jobs, new misses are shed with
-    /// `overloaded` (plus a `retry_after_ms` hint) *before* the queue
-    /// fills. Defaults to `queue_capacity` (shed only when full).
+    /// Admission-control threshold: once a shard has
+    /// `min(shed_queue_depth, queue_capacity)` misses waiting, new
+    /// misses are shed with `overloaded` (plus a `retry_after_ms`
+    /// hint). Defaults to `queue_capacity`.
     pub shed_queue_depth: usize,
     /// Deterministic fault-injection plan; disabled by default.
     pub faults: FaultPlan,
@@ -113,7 +109,7 @@ impl Default for ServeConfig {
 }
 
 /// Suggested client wait before retrying after an overload rejection:
-/// roughly how long the queued work ahead of the request will take to
+/// roughly how long the waiting misses ahead of the request will take to
 /// drain (batches ahead x batch timeout), capped at one second so the
 /// hint never parks clients for long.
 pub(crate) fn suggested_retry_after_ms(
@@ -291,7 +287,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     shard_threads: Vec<std::thread::JoinHandle<()>>,
-    scorer_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -371,9 +366,6 @@ impl ServerHandle {
         for h in self.shard_threads.drain(..) {
             let _ = h.join();
         }
-        for h in self.scorer_threads.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -386,8 +378,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds the listener and spawns the acceptor plus one event-loop and
-/// one scorer thread per shard.
+/// Binds the listener and spawns the acceptor plus one event-loop
+/// thread per shard.
 ///
 /// # Errors
 ///
@@ -397,9 +389,6 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shard_count = config.shards.max(1);
-    let max_batch = config.max_batch.max(1);
-    let batch_timeout = config.batch_timeout;
-    let queue_capacity = config.queue_capacity.max(1);
 
     let injector = FaultInjector::new(config.faults.clone());
     let aggregate = Metrics::new();
@@ -410,28 +399,19 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     );
     let model = ModelSlot::new(pipeline.network().clone());
 
-    /// The per-shard channel ends handed to that shard's threads.
-    type Plumbing = (
-        Poller,
-        mpsc::Receiver<TcpStream>,
-        mpsc::Receiver<ScoreJob>,
-        mpsc::SyncSender<ScoreJob>,
-    );
     let mut shards: Vec<Arc<ShardState>> = Vec::with_capacity(shard_count);
-    let mut plumbing: Vec<Plumbing> = Vec::with_capacity(shard_count);
+    let mut plumbing: Vec<(Poller, mpsc::Receiver<TcpStream>)> = Vec::with_capacity(shard_count);
     for index in 0..shard_count {
         let (poller, waker) = Poller::new()?;
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let (job_tx, job_rx) = mpsc::sync_channel::<ScoreJob>(queue_capacity);
         shards.push(Arc::new(ShardState {
             index,
             metrics: Metrics::new(),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             sentinel: Mutex::new(Sentinel::new(config.sentinel.clone())),
             waker,
             conn_tx,
         }));
-        plumbing.push((poller, conn_rx, job_rx, job_tx));
+        plumbing.push((poller, conn_rx));
     }
 
     let shared = Arc::new(Shared {
@@ -450,26 +430,14 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     });
 
     let mut shard_threads = Vec::with_capacity(shard_count);
-    let mut scorer_threads = Vec::with_capacity(shard_count);
-    for (index, (poller, conn_rx, job_rx, job_tx)) in plumbing.into_iter().enumerate() {
-        let scorer = {
-            let shared = Arc::clone(&shared);
-            let shard = Arc::clone(&shared.shards[index]);
-            std::thread::Builder::new()
-                .name(format!("maleva-serve-scorer-{index}"))
-                .spawn(move || {
-                    shard::scorer_loop(&shared, &shard, &job_rx, max_batch, batch_timeout)
-                })?
-        };
-        scorer_threads.push(scorer);
-        let looper = {
-            let shared = Arc::clone(&shared);
-            let shard = Arc::clone(&shared.shards[index]);
+    for (index, (poller, conn_rx)) in plumbing.into_iter().enumerate() {
+        let shared = Arc::clone(&shared);
+        let shard = Arc::clone(&shared.shards[index]);
+        shard_threads.push(
             std::thread::Builder::new()
                 .name(format!("maleva-serve-shard-{index}"))
-                .spawn(move || shard::shard_loop(&shared, &shard, poller, &conn_rx, job_tx))?
-        };
-        shard_threads.push(looper);
+                .spawn(move || shard::shard_loop(&shared, &shard, poller, &conn_rx))?,
+        );
     }
 
     let acceptor = {
@@ -483,7 +451,6 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
         shared,
         acceptor: Some(acceptor),
         shard_threads,
-        scorer_threads,
     })
 }
 

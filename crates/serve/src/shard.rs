@@ -1,266 +1,99 @@
-//! Per-shard event loop and scorer.
+//! Per-shard event loop: one thread reads, scores, and writes.
 //!
 //! Each shard is a single thread multiplexing all of its connections
-//! over the poll-based readiness layer in [`crate::reactor`]. The loop
-//! per iteration: adopt newly pinned connections, poll for readability
-//! (timeout capped by the nearest pending request deadline), drain
-//! non-blocking reads into per-connection buffers, settle completed or
-//! expired in-flight requests, then process buffered lines. A
-//! connection has at most one score request in flight; while it waits
-//! the shard simply stops polling that socket, so pipelined bytes sit
-//! in the kernel buffer under normal TCP backpressure.
+//! over the poll-based readiness layer in [`crate::reactor`]. One tick:
+//! adopt newly pinned connections, poll (timeout capped by the batch
+//! window close, the nearest request deadline, and the release of a
+//! held batch), flush writable sockets and read readable ones, admit
+//! every complete request line, run the batches that are due inline,
+//! answer expired requests, then flush output buffers.
 //!
-//! Everything a request touches on the hot path — the scoring queue,
+//! Connections may pipeline. A connection is read only while it has
+//! fewer than `max_batch` unanswered requests and an empty output
+//! buffer; replies leave in request order through a per-connection
+//! reply queue. Writes never block: a peer that stops reading only
+//! stops being read, and is closed once [`WRITE_STALL_CAP`] passes
+//! without write progress, so it cannot stall the rest of its shard.
+//!
+//! Everything a request touches on the hot path — the pending misses,
 //! the LRU cache, the sentinel window, the metrics — belongs to the
 //! shard, so shards never contend with each other. The only shared
 //! state is the swappable [`crate::reload::ModelSlot`] (an atomic
 //! generation read per cache lookup, one `Arc` clone per batch) and
 //! the fault injector.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use maleva_obs::trace::{self, Span};
 
-use crate::batch::{collect_batch, score_rows_isolated, ScoreJob, ScoredReply};
+use crate::batch::score_rows_isolated;
 use crate::cache::{quantize, LruCache};
 use crate::error::ServeError;
 use crate::fault::FaultSite;
 use crate::metrics::{Metrics, MetricsSnapshot, StageTimes};
 use crate::protocol::{self, Request, ScoreResponse, TraceContext};
-use crate::reactor::{self, Event, Interest, Poller, Waker};
+use crate::reactor::{Event, Interest, Poller, Waker};
 use crate::sentinel::{poison_score, Sentinel, SentinelDecision};
 use crate::server::{self, suggested_retry_after_ms, Shared, READ_TICK};
 
-/// Everything one shard owns: its metrics, cache, sentinel window, and
-/// the handles other threads use to reach it (connection hand-off plus
-/// waker).
+/// What other threads reach of a shard: its metrics, its sentinel
+/// window, and the hand-off for new connections.
 pub(crate) struct ShardState {
     /// Stable shard index (the acceptor's round-robin position).
     pub(crate) index: usize,
     /// This shard's private metrics registry; merged on demand by
     /// [`crate::server::refresh`].
     pub(crate) metrics: Metrics,
-    /// Score cache, keyed by quantized features; values carry the model
-    /// generation that produced them so a reload lazily invalidates
-    /// stale entries on lookup.
-    pub(crate) cache: Mutex<LruCache<Vec<i64>, (f64, u64)>>,
     /// Per-client extraction-sentinel window for connections pinned to
-    /// this shard.
+    /// this shard. Locked because [`crate::server::sentinel_report`]
+    /// reads it from other threads.
     pub(crate) sentinel: Mutex<Sentinel>,
-    /// Wakes the shard's poll loop (new connection, finished batch,
-    /// shutdown).
+    /// Wakes the shard's poll loop (new connection, shutdown).
     pub(crate) waker: Waker,
     /// Where the acceptor hands over accepted sockets.
     pub(crate) conn_tx: mpsc::Sender<TcpStream>,
 }
 
 impl ShardState {
-    /// One coherent snapshot of this shard's metrics, with the cache
-    /// and sentinel gauges refreshed first.
+    /// One coherent snapshot of this shard's metrics, with the sentinel
+    /// gauge refreshed first.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let entries = self.cache.lock().map(|c| c.len()).unwrap_or(0);
         if let Ok(sentinel) = self.sentinel.lock() {
             self.metrics
                 .sentinel_tracked_clients
                 .set(sentinel.tracked_clients().min(i64::MAX as usize) as i64);
         }
+        let entries = self.metrics.cache_entries.get().max(0) as usize;
         self.metrics.snapshot(entries)
     }
 }
 
-/// One connection owned by the event loop.
-struct Conn {
-    stream: TcpStream,
-    /// The sentinel's fallback client identity when requests carry no
-    /// explicit `client_id`.
-    peer: String,
-    /// Bytes read but not yet consumed as lines.
-    inbuf: Vec<u8>,
-    /// The in-flight score request, if any (at most one per
-    /// connection, matching the request/response protocol).
-    pending: Option<Pending>,
-    /// The peer closed its write side; remaining buffered lines are
-    /// still processed (a final unterminated line counts).
-    eof: bool,
-    /// Close and drop at the end of the iteration.
-    dead: bool,
-}
-
-/// A score request waiting on its shard scorer.
-struct Pending {
-    rx: mpsc::Receiver<Result<ScoredReply, ServeError>>,
-    span: Span,
-    stages: StageTimes,
-    /// Request start, for end-to-end latency.
-    start: Instant,
-    /// When the job was pushed onto the queue (`queue_wait` epoch).
-    enqueued: Instant,
-    /// Absolute deadline; past it the request resolves to a typed
-    /// `deadline_exceeded` error and the reply channel is abandoned.
-    deadline: Instant,
-    /// Cache key to record in the sentinel on completion (`None` when
-    /// the sentinel is disabled).
-    sentinel_key: Option<Vec<i64>>,
-    /// Whether the sentinel flagged this client for verdict poisoning.
-    poison: bool,
-    client_id: String,
-}
-
-/// How a settled [`Pending`] resolved.
-enum Completion {
-    Reply(Result<ScoredReply, ServeError>),
-    Deadline,
-    ScorerGone,
-}
-
-/// The resolved answer to one score request, carried from the staged
-/// scoring logic to the single serialization exit ([`finish_score`]).
-enum ScoreOutcome {
-    /// A score to send; `faulted` routes the write through
-    /// [`write_line_faulted`] (the historical behavior: only cache
-    /// hits bypass the write-fault sites).
-    Reply { resp: ScoreResponse, faulted: bool },
-    /// A typed error to send (always via the faulted writer).
-    Error(ServeError),
-}
-
-/// A score request either resolved synchronously (sentinel throttle,
-/// cache hit, shed, enqueue failure) or went in flight. The request
-/// span rides along either way.
-enum ScoreStep {
-    Done(ScoreOutcome, Span, StageTimes),
-    Pending(Pending),
-}
-
-/// How long a blocked write may wait for the socket to drain before
-/// the connection is declared dead.
+/// How long a connection may hold unwritten replies without any write
+/// progress before it is closed.
 const WRITE_STALL_CAP: Duration = Duration::from_secs(10);
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Connections
 // ---------------------------------------------------------------------------
 
-pub(crate) fn shard_loop(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    mut poller: Poller,
-    conn_rx: &Receiver<TcpStream>,
-    job_tx: SyncSender<ScoreJob>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    loop {
-        // Adopt newly pinned connections (dropped mid-drain: the
-        // acceptor may race the shutdown flag by one hand-off).
-        let mut shutting_down = shared.shutting_down.load(Ordering::SeqCst);
-        while let Ok(stream) = conn_rx.try_recv() {
-            if shutting_down {
-                continue;
-            }
-            let peer = stream
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "unknown-peer".to_string());
-            conns.push(Conn {
-                stream,
-                peer,
-                inbuf: Vec::new(),
-                pending: None,
-                eof: false,
-                dead: false,
-            });
-        }
-
-        // Poll connections that can accept a new request; in-flight and
-        // closed ones are skipped, leaving backpressure to TCP.
-        {
-            let sources: Vec<(usize, &TcpStream, Interest)> = conns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.dead && !c.eof && c.pending.is_none())
-                .map(|(i, c)| (i, &c.stream, Interest::Readable))
-                .collect();
-            let timeout = poll_timeout(&conns);
-            let _ = poller.poll(&sources, Some(timeout), &mut events);
-        }
-        for event in &events {
-            if event.readable {
-                read_ready(&mut conns[event.token]);
-            }
-        }
-
-        // Settle in-flight requests (batch finished, scorer died, or
-        // deadline passed), then process whatever lines are buffered.
-        for conn in conns.iter_mut() {
-            if conn.pending.is_some() {
-                settle_pending(shared, shard, conn);
-            }
-        }
-        for conn in conns.iter_mut() {
-            process_lines(shared, shard, &job_tx, conn);
-        }
-
-        // Drain: keep connections with in-flight work until their
-        // replies land; close everything idle.
-        shutting_down = shared.shutting_down.load(Ordering::SeqCst);
-        if shutting_down {
-            for conn in conns.iter_mut() {
-                if conn.pending.is_none() {
-                    conn.dead = true;
-                }
-            }
-        }
-        conns.retain(|c| !(c.dead || c.eof && c.pending.is_none() && c.inbuf.is_empty()));
-        if shutting_down && conns.is_empty() {
-            while conn_rx.try_recv().is_ok() {}
-            // Dropping `job_tx` (by returning) disconnects the queue so
-            // the scorer drains what is left and exits.
-            drop(job_tx);
-            return;
-        }
-    }
+/// Bytes read from a connection, consumed line by line through a cursor
+/// and compacted once per tick, so framing a pipelined backlog is linear
+/// in its size.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// Bytes before this offset are consumed.
+    consumed: usize,
 }
 
-/// The poll timeout: the idle tick, shortened to the nearest pending
-/// deadline so an expired request is answered promptly even if the
-/// scorer is wedged.
-fn poll_timeout(conns: &[Conn]) -> Duration {
-    let now = Instant::now();
-    let mut timeout = READ_TICK;
-    for conn in conns {
-        if let Some(pending) = &conn.pending {
-            timeout = timeout.min(pending.deadline.saturating_duration_since(now));
-        }
-    }
-    timeout
-}
-
-/// Drains the socket into the connection's line buffer.
-fn read_ready(conn: &mut Conn) {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                return;
-            }
-            Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-}
-
-/// What [`extract_line`] produced this call.
+/// What [`LineBuf::extract_line`] produced this call.
+#[derive(Debug, PartialEq)]
 enum LineStatus {
     /// A complete request line (newline stripped; `\r\n` tolerated).
     Line(String),
@@ -270,682 +103,1000 @@ enum LineStatus {
     NotYet,
 }
 
-/// Pops the next line off the buffer. An oversized line is detected as
-/// soon as `limit + 1` bytes are buffered without a newline, without
-/// waiting for the rest. After EOF a final unterminated line is served.
-fn extract_line(conn: &mut Conn, limit: usize) -> LineStatus {
-    if let Some(pos) = conn.inbuf.iter().position(|&b| b == b'\n') {
-        if pos > limit {
-            return LineStatus::TooLong;
+impl LineBuf {
+    fn unconsumed(&self) -> usize {
+        self.bytes.len() - self.consumed
+    }
+
+    /// Takes the next line. An oversized line is detected as soon as
+    /// `limit + 1` bytes are buffered without a newline, without
+    /// waiting for the rest. After EOF a final unterminated line is
+    /// served.
+    fn extract_line(&mut self, limit: usize, eof: bool) -> LineStatus {
+        let rest = &self.bytes[self.consumed..];
+        let (line, used) = match rest.iter().position(|&b| b == b'\n') {
+            Some(pos) if pos > limit => return LineStatus::TooLong,
+            Some(pos) => (&rest[..pos], pos + 1),
+            None if rest.len() > limit => return LineStatus::TooLong,
+            None if eof && !rest.is_empty() => (rest, rest.len()),
+            None => return LineStatus::NotYet,
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let line = String::from_utf8_lossy(line).into_owned();
+        self.consumed += used;
+        LineStatus::Line(line)
+    }
+
+    /// Drops the consumed prefix.
+    fn compact(&mut self) {
+        if self.consumed > 0 {
+            self.bytes.drain(..self.consumed);
+            self.consumed = 0;
         }
-        let mut line: Vec<u8> = conn.inbuf.drain(..=pos).collect();
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        return LineStatus::Line(String::from_utf8_lossy(&line).into_owned());
     }
-    if conn.inbuf.len() > limit {
-        return LineStatus::TooLong;
-    }
-    if conn.eof && !conn.inbuf.is_empty() {
-        let line = String::from_utf8_lossy(&conn.inbuf).into_owned();
-        conn.inbuf.clear();
-        return LineStatus::Line(line);
-    }
-    LineStatus::NotYet
 }
 
-/// Processes buffered lines until the connection blocks on an
-/// in-flight request, runs dry, or dies.
-fn process_lines(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    job_tx: &SyncSender<ScoreJob>,
-    conn: &mut Conn,
+/// One connection owned by the event loop.
+struct Conn {
+    stream: TcpStream,
+    /// The sentinel's fallback client identity when requests carry no
+    /// explicit `client_id`.
+    peer: String,
+    input: LineBuf,
+    /// Replies not yet on their way out, in request order; `None` holds
+    /// the place of a miss that is still being scored.
+    replies: VecDeque<Option<Vec<u8>>>,
+    /// Sequence number of `replies.front()`.
+    first_seq: u64,
+    /// Encoded replies waiting for the socket to take them.
+    out: Vec<u8>,
+    /// When `out` last became non-empty or a write made progress.
+    last_progress: Instant,
+    /// The peer closed its write side; remaining buffered lines are
+    /// still processed (a final unterminated line counts).
+    eof: bool,
+    /// Read no more requests; close once every queued reply is flushed.
+    closing: bool,
+    /// Drop at the end of the tick, flushed or not.
+    dead: bool,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        let peer = stream
+            .peer_addr()
+            .map(|a| a.to_string())
+            .unwrap_or_else(|_| "unknown-peer".to_string());
+        Conn {
+            stream,
+            peer,
+            input: LineBuf::default(),
+            replies: VecDeque::new(),
+            first_seq: 0,
+            out: Vec::new(),
+            last_progress: Instant::now(),
+            eof: false,
+            closing: false,
+            dead: false,
+        }
+    }
+
+    /// Whether the loop may take another request off this connection.
+    fn accepts_requests(&self, max_batch: usize) -> bool {
+        !self.dead && !self.closing && self.replies.len() < max_batch
+    }
+
+    fn wants_read(&self, max_batch: usize) -> bool {
+        self.accepts_requests(max_batch) && !self.eof && self.out.is_empty()
+    }
+
+    fn finished(&self) -> bool {
+        self.dead
+            || (self.closing || self.eof && self.input.unconsumed() == 0)
+                && self.replies.is_empty()
+                && self.out.is_empty()
+    }
+
+    /// Reads what the socket holds, stopping at EOF, `WouldBlock`, or
+    /// once more than `limit` unconsumed bytes are buffered (enough to
+    /// frame a line or reject it as too long).
+    fn read(&mut self, limit: usize) {
+        let mut chunk = [0u8; 16 * 1024];
+        while self.input.unconsumed() <= limit {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.eof = true;
+                    return;
+                }
+                Ok(n) => self.input.bytes.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Writes as much of `out` as the socket takes without blocking.
+    fn flush(&mut self) {
+        let mut written = 0;
+        while written < self.out.len() {
+            match self.stream.write(&self.out[written..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        if written > 0 {
+            self.out.drain(..written);
+            self.last_progress = Instant::now();
+        }
+    }
+
+    fn emit(&mut self, bytes: &[u8]) {
+        if self.out.is_empty() {
+            self.last_progress = Instant::now();
+        }
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Holds the place of a reply that comes later; returns its
+    /// sequence number.
+    fn reserve(&mut self) -> u64 {
+        self.replies.push_back(None);
+        self.first_seq + self.replies.len() as u64 - 1
+    }
+
+    /// Queues one encoded reply (`seq` from [`Conn::reserve`], or `None`
+    /// for a request answered on the spot), then moves every reply that
+    /// is now in order into the output buffer.
+    fn queue(&mut self, seq: Option<u64>, bytes: Vec<u8>) {
+        match seq {
+            None if self.replies.is_empty() => return self.emit(&bytes),
+            None => self.replies.push_back(Some(bytes)),
+            Some(seq) => {
+                let index = seq.wrapping_sub(self.first_seq) as usize;
+                if let Some(slot) = self.replies.get_mut(index) {
+                    *slot = Some(bytes);
+                }
+            }
+        }
+        while let Some(Some(_)) = self.replies.front() {
+            if let Some(Some(bytes)) = self.replies.pop_front() {
+                self.emit(&bytes);
+            }
+            self.first_seq += 1;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batching
+// ---------------------------------------------------------------------------
+
+/// A cache miss admitted for scoring, waiting for its batch.
+struct Miss {
+    /// Connection id and reply slot the answer goes to.
+    conn: usize,
+    seq: u64,
+    /// Transformed feature row (taken when the batch runs).
+    features: Vec<f64>,
+    /// Quantized cache key for post-scoring insertion.
+    cache_key: Vec<i64>,
+    trace: Option<TraceContext>,
+    client_id: String,
+    /// Whether the sentinel flagged this client for verdict poisoning.
+    poison: bool,
+    span: Span,
+    stages: StageTimes,
+    /// Request start, for end-to-end latency.
+    start: Instant,
+    /// When the miss joined the pending list (`batch_wait` epoch).
+    admitted: Instant,
+    /// Past this the request is answered `deadline_exceeded`.
+    deadline: Instant,
+}
+
+/// A formed batch held by an injected [`FaultSite::ScoreDelay`].
+struct Held {
+    rows: Vec<Miss>,
+    /// When the batch formed (its rows' `inference` epoch).
+    start: Instant,
+    release: Instant,
+}
+
+/// The shard's scoring schedule. Misses wait in `pending` until the
+/// list reaches `max_batch` or the batch window opened by the oldest
+/// closes; a flush then moves them all to `flushing`, scored
+/// `max_batch` rows at a time. An injected `ScoreDelay` parks a formed
+/// batch in `held` until its release, without blocking the loop. Every
+/// collection is in admission order, so deadlines ascend within each.
+struct Batcher {
+    pending: VecDeque<Miss>,
+    flushing: VecDeque<Miss>,
+    /// Start of the latest flush (the `queue_wait` epoch of its rows).
+    flush_start: Instant,
+    held: Option<Held>,
+}
+
+impl Batcher {
+    fn len(&self) -> usize {
+        self.pending.len() + self.flushing.len() + self.held.as_ref().map_or(0, |h| h.rows.len())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// When the loop must next act on the schedule: the release of a
+    /// held batch or the close of the window, or the nearest deadline.
+    /// `flushing` is only non-empty while a batch is held.
+    fn next_wake(&self, window: Duration) -> Option<Instant> {
+        let step = match &self.held {
+            Some(held) => Some(held.release),
+            None => self.pending.front().map(|m| m.admitted + window),
+        };
+        let oldest = self.held.iter().filter_map(|h| h.rows.first());
+        let oldest = oldest
+            .chain(self.flushing.front())
+            .chain(self.pending.front());
+        step.into_iter().chain(oldest.map(|m| m.deadline)).min()
+    }
+}
+
+/// Splits a miss's wait from admission to now into `batch_wait` (until
+/// its flush began), `queue_wait` (behind earlier batches of that
+/// flush) and `inference` (its own batch, including any injected hold).
+/// Stages the miss never reached stay zero.
+fn split_wait(
+    stages: &mut StageTimes,
+    admitted: Instant,
+    flush_start: Option<Instant>,
+    batch_start: Option<Instant>,
 ) {
+    let now = Instant::now();
+    let flush = flush_start.unwrap_or(now).max(admitted);
+    let batch = batch_start.unwrap_or(now).max(flush);
+    stages.batch_wait += flush.saturating_duration_since(admitted);
+    stages.queue_wait += batch.saturating_duration_since(flush);
+    stages.inference += now.saturating_duration_since(batch);
+}
+
+// ---------------------------------------------------------------------------
+// Event loop
+// ---------------------------------------------------------------------------
+
+/// The answer to one score request, carried to the single
+/// serialization exit ([`Worker::finish_score`]).
+enum ScoreOutcome {
+    /// A score to send; `faulted` routes the write through the
+    /// write-fault sites (only cache hits bypass them).
+    Reply { resp: ScoreResponse, faulted: bool },
+    /// A typed error to send (always through the write-fault sites).
+    Error(ServeError),
+}
+
+/// The state one shard thread owns outright.
+struct Worker<'a> {
+    shared: &'a Shared,
+    shard: &'a ShardState,
+    max_batch: usize,
+    /// Score cache, keyed by quantized features; values carry the model
+    /// generation that produced them so a reload lazily invalidates
+    /// stale entries on lookup.
+    cache: LruCache<Vec<i64>, (f64, u64)>,
+    batcher: Batcher,
+}
+
+pub(crate) fn shard_loop(
+    shared: &Shared,
+    shard: &ShardState,
+    mut poller: Poller,
+    conn_rx: &Receiver<TcpStream>,
+) {
+    let mut worker = Worker {
+        shared,
+        shard,
+        max_batch: shared.config.max_batch.max(1),
+        cache: LruCache::new(shared.config.cache_capacity),
+        batcher: Batcher {
+            pending: VecDeque::new(),
+            flushing: VecDeque::new(),
+            flush_start: Instant::now(),
+            held: None,
+        },
+    };
+    let max_batch = worker.max_batch;
     let limit = shared.config.max_line_bytes;
-    while !conn.dead && conn.pending.is_none() {
-        match extract_line(conn, limit) {
-            LineStatus::NotYet => return,
-            LineStatus::TooLong => {
-                // Typed error, then close: the stream is out of sync.
-                respond_error(shared, shard, conn, &ServeError::LineTooLong { limit });
+    let mut conns: BTreeMap<usize, Conn> = BTreeMap::new();
+    let mut next_id = 0usize;
+    let mut events: Vec<Event> = Vec::new();
+    loop {
+        // Adopt newly pinned connections (dropped mid-drain: the
+        // acceptor may race the shutdown flag by one hand-off).
+        let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
+        while let Ok(stream) = conn_rx.try_recv() {
+            if !shutting_down {
+                conns.insert(next_id, Conn::new(stream));
+                next_id += 1;
+            }
+        }
+
+        // A connection with replies to write waits for writability; one
+        // that may take requests waits for bytes; the rest wait on the
+        // batch schedule.
+        {
+            let sources: Vec<(usize, &TcpStream, Interest)> = conns
+                .iter()
+                .filter_map(|(&id, c)| {
+                    if !c.dead && !c.out.is_empty() {
+                        Some((id, &c.stream, Interest::Writable))
+                    } else if c.wants_read(max_batch) {
+                        Some((id, &c.stream, Interest::Readable))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            let timeout = worker
+                .batcher
+                .next_wake(shared.config.batch_timeout)
+                .map_or(READ_TICK, |at| {
+                    at.saturating_duration_since(Instant::now()).min(READ_TICK)
+                });
+            let _ = poller.poll(&sources, Some(timeout), &mut events);
+        }
+        for event in &events {
+            let Some(conn) = conns.get_mut(&event.token) else {
+                continue;
+            };
+            if event.writable && !conn.out.is_empty() {
+                conn.flush();
+            }
+            if event.readable && conn.wants_read(max_batch) {
+                conn.read(limit);
+            }
+        }
+
+        // Admit requests, then run what is due; a finished batch frees
+        // reply slots, which may let pipelined lines in.
+        loop {
+            for (&id, conn) in conns.iter_mut() {
+                worker.process_lines(id, conn);
+            }
+            if !worker.advance(&mut conns) {
+                break;
+            }
+        }
+        worker.expire(&mut conns);
+
+        let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
+        let now = Instant::now();
+        for conn in conns.values_mut() {
+            if !conn.out.is_empty()
+                && now.saturating_duration_since(conn.last_progress) > WRITE_STALL_CAP
+            {
                 conn.dead = true;
+            }
+            conn.input.compact();
+            // Drain: stop reading, answer what was admitted, close.
+            conn.closing |= shutting_down;
+        }
+        conns.retain(|_, c| !c.finished());
+        shard
+            .metrics
+            .queue_depth
+            .set(worker.batcher.len().min(i64::MAX as usize) as i64);
+        if shutting_down && conns.is_empty() && worker.batcher.is_empty() {
+            while conn_rx.try_recv().is_ok() {}
+            return;
+        }
+    }
+}
+
+impl Worker<'_> {
+    /// Takes request lines off `conn` while it may have more requests
+    /// in flight and its output buffer is empty.
+    fn process_lines(&mut self, id: usize, conn: &mut Conn) {
+        let limit = self.shared.config.max_line_bytes;
+        while conn.accepts_requests(self.max_batch) && conn.out.is_empty() {
+            match conn.input.extract_line(limit, conn.eof) {
+                LineStatus::NotYet => return,
+                LineStatus::TooLong => {
+                    // Typed error, then close: the stream is out of sync.
+                    self.respond_error(conn, &ServeError::LineTooLong { limit });
+                    conn.closing = true;
+                }
+                LineStatus::Line(line) => {
+                    if self.shared.fire(&self.shard.metrics, FaultSite::SlowRead) {
+                        std::thread::sleep(self.shared.injector.delay());
+                    }
+                    self.process_line(id, conn, &line);
+                }
+            }
+        }
+    }
+
+    fn process_line(&mut self, id: usize, conn: &mut Conn, line: &str) {
+        if line.trim().is_empty() {
+            return;
+        }
+        let shared = self.shared;
+        // The span, the latency clock and the stage clocks all start once
+        // the line is parsed, so the six stages account for the whole span.
+        let parsed = protocol::parse_request(line, shared.pipeline.features().dim());
+        let start = Instant::now();
+        let mut span = Span::enter("serve.request");
+        let reply = match parsed {
+            Err(e) => {
+                span.record("cmd", "invalid");
+                return self.respond_error(conn, &e);
+            }
+            Ok(Request::Stats) => {
+                span.record("cmd", "stats");
+                // Both the merged body and the `shards` array come from the
+                // SAME snapshot vector, so they agree even mid-drain.
+                let (merged, per_shard) = server::refresh(shared);
+                protocol::encode_stats_with_shards(&merged, &per_shard)
+            }
+            Ok(Request::Metrics) => {
+                span.record("cmd", "metrics");
+                let (merged, _) = server::refresh(shared);
+                // A multi-line exposition block over the otherwise
+                // line-oriented protocol, terminated by a `# EOF` marker
+                // line (OpenMetrics convention).
+                let mut block = shared.aggregate.render_prometheus(merged.cache_entries);
+                if !block.ends_with('\n') {
+                    block.push('\n');
+                }
+                block + "# EOF"
+            }
+            Ok(Request::Health) => {
+                span.record("cmd", "health");
+                protocol::encode_health(&server::health_report(shared))
+            }
+            Ok(Request::Sentinel) => {
+                span.record("cmd", "sentinel");
+                protocol::encode_sentinel(&server::sentinel_report(shared))
+            }
+            Ok(Request::Slo) => {
+                span.record("cmd", "slo");
+                protocol::encode_slo(&server::evaluate_slo(shared))
+            }
+            Ok(Request::Reload { path }) => {
+                span.record("cmd", "reload");
+                match server::do_reload(shared, &path) {
+                    Ok((generation, params)) => {
+                        span.record("generation", generation);
+                        protocol::encode_reload_ack(generation, params)
+                    }
+                    Err(e) => return self.respond_error(conn, &e),
+                }
+            }
+            Ok(Request::Shutdown) => {
+                span.record("cmd", "shutdown");
+                shared.trigger_shutdown();
+                conn.closing = true;
+                protocol::encode_shutdown_ack()
+            }
+            Ok(Request::Score {
+                counts,
+                client_id,
+                trace,
+            }) => {
+                span.record("cmd", "score");
+                if let Some(t) = trace {
+                    span.record("trace_id", t.trace_id);
+                    if t.span_id != 0 {
+                        span.record("client_span", t.span_id);
+                    }
+                }
+                let cid = client_id.unwrap_or_else(|| conn.peer.clone());
+                self.shard.metrics.requests.inc();
+                if let Some((outcome, mut span, mut stages)) =
+                    self.score_step(id, conn, &counts, cid, trace, span, start)
+                {
+                    self.finish_score(conn, None, &outcome, &mut stages, &mut span);
+                }
                 return;
             }
-            LineStatus::Line(line) => {
-                if shared.fire(&shard.metrics, FaultSite::SlowRead) {
-                    std::thread::sleep(shared.injector.delay());
-                }
-                process_line(shared, shard, job_tx, conn, &line);
-            }
-        }
-    }
-}
-
-fn process_line(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    job_tx: &SyncSender<ScoreJob>,
-    conn: &mut Conn,
-    line: &str,
-) {
-    if line.trim().is_empty() {
-        return;
-    }
-    let mut span = Span::enter("serve.request");
-    match protocol::parse_request(line, shared.pipeline.features().dim()) {
-        Err(e) => {
-            span.record("cmd", "invalid");
-            respond_error(shared, shard, conn, &e);
-        }
-        Ok(Request::Stats) => {
-            span.record("cmd", "stats");
-            // Both the merged body and the `shards` array come from the
-            // SAME snapshot vector, so they agree even mid-drain.
-            let (merged, per_shard) = server::refresh(shared);
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_stats_with_shards(&merged, &per_shard),
-                false,
-            );
-        }
-        Ok(Request::Metrics) => {
-            span.record("cmd", "metrics");
-            let (merged, _) = server::refresh(shared);
-            let text = shared.aggregate.render_prometheus(merged.cache_entries);
-            write_metrics_block(conn, &text);
-        }
-        Ok(Request::Health) => {
-            span.record("cmd", "health");
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_health(&server::health_report(shared)),
-                false,
-            );
-        }
-        Ok(Request::Sentinel) => {
-            span.record("cmd", "sentinel");
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_sentinel(&server::sentinel_report(shared)),
-                false,
-            );
-        }
-        Ok(Request::Slo) => {
-            span.record("cmd", "slo");
-            let report = server::evaluate_slo(shared);
-            send_line(shared, shard, conn, &protocol::encode_slo(&report), false);
-        }
-        Ok(Request::Reload { path }) => {
-            span.record("cmd", "reload");
-            match server::do_reload(shared, &path) {
-                Ok((generation, params)) => {
-                    span.record("generation", generation);
-                    send_line(
-                        shared,
-                        shard,
-                        conn,
-                        &protocol::encode_reload_ack(generation, params),
-                        false,
-                    );
-                }
-                Err(e) => respond_error(shared, shard, conn, &e),
-            }
-        }
-        Ok(Request::Shutdown) => {
-            span.record("cmd", "shutdown");
-            send_line(shared, shard, conn, &protocol::encode_shutdown_ack(), false);
-            shared.trigger_shutdown();
-            conn.dead = true;
-        }
-        Ok(Request::Score {
-            counts,
-            client_id,
-            trace,
-        }) => {
-            span.record("cmd", "score");
-            if let Some(t) = trace {
-                span.record("trace_id", t.trace_id);
-                if t.span_id != 0 {
-                    span.record("client_span", t.span_id);
-                }
-            }
-            let cid = client_id.unwrap_or_else(|| conn.peer.clone());
-            handle_score(shared, shard, job_tx, conn, &counts, &cid, trace, span);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Score path
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn handle_score(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    job_tx: &SyncSender<ScoreJob>,
-    conn: &mut Conn,
-    counts: &[u32],
-    client_id: &str,
-    trace: Option<TraceContext>,
-    span: Span,
-) {
-    shard.metrics.requests.inc();
-    let start = Instant::now();
-    match score_step(shared, shard, job_tx, counts, client_id, trace, span, start) {
-        ScoreStep::Done(outcome, mut span, mut stages) => {
-            finish_score(shared, shard, conn, &outcome, &mut stages, &mut span);
-        }
-        ScoreStep::Pending(pending) => conn.pending = Some(pending),
-    }
-}
-
-/// Runs the synchronous part of the score pipeline — sentinel, cache,
-/// admission control, enqueue — and either resolves the request or
-/// leaves it in flight, accumulating per-stage time as it goes.
-#[allow(clippy::too_many_arguments)]
-fn score_step(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    job_tx: &SyncSender<ScoreJob>,
-    counts: &[u32],
-    client_id: &str,
-    trace: Option<TraceContext>,
-    mut span: Span,
-    start: Instant,
-) -> ScoreStep {
-    let mut stages = StageTimes::default();
-    let features = shared.pipeline.features().transform_counts(counts);
-    let cache_key = quantize(&features);
-
-    // The sentinel rules *before* scoring, from recorded history alone,
-    // so its decisions are a pure function of (seed, client history).
-    let sentinel_on = shared.config.sentinel.enabled;
-    let decision = if sentinel_on {
-        let check = Instant::now();
-        let decision = match shard.sentinel.lock() {
-            Ok(mut s) => s.decide(client_id),
-            Err(_) => SentinelDecision::Allow,
         };
-        stages.sentinel_check += check.elapsed();
-        decision
-    } else {
-        SentinelDecision::Allow
-    };
-    if let SentinelDecision::Throttle { retry_after_ms } = decision {
-        shard.metrics.sentinel_throttled.inc();
-        span.record("throttled", true);
-        let check = Instant::now();
-        sentinel_record(shard, client_id, cache_key, None);
-        stages.sentinel_check += check.elapsed();
-        return ScoreStep::Done(
-            ScoreOutcome::Error(ServeError::Throttled { retry_after_ms }),
-            span,
-            stages,
-        );
+        self.deliver(conn, None, reply, false);
     }
-    let poison = matches!(decision, SentinelDecision::Poison);
 
-    // A cache entry is only valid for the generation that produced it;
-    // entries from before a reload read as misses and are overwritten
-    // when the re-scored batch lands (lazy invalidation).
-    let lookup = Instant::now();
-    let generation = shared.model.generation();
-    let cached = shard
-        .cache
-        .lock()
-        .ok()
-        .and_then(|mut cache| cache.get(&cache_key))
-        .filter(|(_, cached_generation)| *cached_generation == generation)
-        .map(|(score, _)| score);
-    stages.cache_lookup += lookup.elapsed();
-    if let Some(score) = cached {
-        shard.metrics.cache_hits.inc();
-        shard.metrics.record_latency(start.elapsed());
-        span.record("cached", true);
-        if sentinel_on {
-            // History records the *true* verdict so later flip analysis
-            // is about the model's boundary, not the poison stream.
+    // -----------------------------------------------------------------------
+    // Score path
+    // -----------------------------------------------------------------------
+
+    /// Runs the synchronous part of the score pipeline — sentinel,
+    /// cache, admission control — accumulating per-stage time as it
+    /// goes. Returns the resolved outcome, or `None` once the request is
+    /// admitted as a miss awaiting its batch.
+    #[allow(clippy::too_many_arguments)]
+    fn score_step(
+        &mut self,
+        id: usize,
+        conn: &mut Conn,
+        counts: &[u32],
+        client_id: String,
+        trace: Option<TraceContext>,
+        mut span: Span,
+        start: Instant,
+    ) -> Option<(ScoreOutcome, Span, StageTimes)> {
+        let (shared, shard) = (self.shared, self.shard);
+        let metrics = &shard.metrics;
+        let mut stages = StageTimes::default();
+        let features = shared.pipeline.features().transform_counts(counts);
+        let cache_key = quantize(&features);
+
+        // The sentinel rules *before* scoring, from recorded history alone,
+        // so its decisions are a pure function of (seed, client history).
+        let sentinel_on = shared.config.sentinel.enabled;
+        let decision = if sentinel_on {
             let check = Instant::now();
-            sentinel_record(shard, client_id, cache_key.clone(), Some(score >= 0.5));
+            let decision = match shard.sentinel.lock() {
+                Ok(mut s) => s.decide(&client_id),
+                Err(_) => SentinelDecision::Allow,
+            };
             stages.sentinel_check += check.elapsed();
+            decision
+        } else {
+            SentinelDecision::Allow
+        };
+        if let SentinelDecision::Throttle { retry_after_ms } = decision {
+            metrics.sentinel_throttled.inc();
+            span.record("throttled", true);
+            let check = Instant::now();
+            self.sentinel_record(&client_id, cache_key, None);
+            stages.sentinel_check += check.elapsed();
+            let outcome = ScoreOutcome::Error(ServeError::Throttled { retry_after_ms });
+            return Some((outcome, span, stages));
         }
-        let served = serve_score(shared, shard, poison, score, &cache_key, &mut span);
-        return ScoreStep::Done(
-            ScoreOutcome::Reply {
+        let poison = matches!(decision, SentinelDecision::Poison);
+
+        // A cache entry is only valid for the generation that produced it;
+        // entries from before a reload read as misses and are overwritten
+        // when the re-scored batch lands (lazy invalidation).
+        let generation = shared.model.generation();
+        let cached = self
+            .cache
+            .get(&cache_key)
+            .filter(|(_, cached_generation)| *cached_generation == generation)
+            .map(|(score, _)| score);
+        // The key is the transformed, quantized request, so everything
+        // since the request was parsed, bar the sentinel, is the lookup.
+        stages.cache_lookup = start.elapsed().saturating_sub(stages.sentinel_check);
+        if let Some(score) = cached {
+            metrics.cache_hits.inc();
+            metrics.record_latency(start.elapsed());
+            span.record("cached", true);
+            if sentinel_on {
+                // History records the *true* verdict so later flip analysis
+                // is about the model's boundary, not the poison stream.
+                let check = Instant::now();
+                self.sentinel_record(&client_id, cache_key.clone(), Some(score >= 0.5));
+                stages.sentinel_check += check.elapsed();
+            }
+            let served = self.serve_score(poison, score, &cache_key, &mut span);
+            let outcome = ScoreOutcome::Reply {
                 resp: ScoreResponse::new(served, true, 0).with_generation(generation),
                 faulted: false,
-            },
+            };
+            return Some((outcome, span, stages));
+        }
+        metrics.cache_misses.inc();
+        span.record("cached", false);
+
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return Some((ScoreOutcome::Error(ServeError::ShuttingDown), span, stages));
+        }
+
+        // Admission control: one check on the misses already waiting, so
+        // a saturated shard rejects cheaply instead of queueing work it
+        // cannot finish in time.
+        let depth = self.batcher.len();
+        let admit_limit = shared
+            .config
+            .shed_queue_depth
+            .min(shared.config.queue_capacity)
+            .max(1);
+        if depth >= admit_limit {
+            metrics.shed.inc();
+            metrics.overloaded.inc();
+            span.record("shed", true);
+            let outcome = ScoreOutcome::Error(ServeError::Overloaded {
+                capacity: shared.config.queue_capacity,
+                retry_after_ms: suggested_retry_after_ms(
+                    depth as u64,
+                    self.max_batch,
+                    shared.config.batch_timeout,
+                ),
+            });
+            return Some((outcome, span, stages));
+        }
+
+        let admitted = Instant::now();
+        self.batcher.pending.push_back(Miss {
+            conn: id,
+            seq: conn.reserve(),
+            features,
+            cache_key,
+            trace,
+            client_id,
+            poison,
             span,
             stages,
-        );
-    }
-    shard.metrics.cache_misses.inc();
-    span.record("cached", false);
-
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return ScoreStep::Done(ScoreOutcome::Error(ServeError::ShuttingDown), span, stages);
-    }
-
-    let overloaded = |depth: u64| ServeError::Overloaded {
-        capacity: shared.config.queue_capacity,
-        retry_after_ms: suggested_retry_after_ms(
-            depth,
-            shared.config.max_batch,
-            shared.config.batch_timeout,
-        ),
-    };
-
-    // Admission control: shed by observed queue depth *before* pushing,
-    // so a saturated scorer rejects cheaply instead of queueing work it
-    // cannot finish in time.
-    let depth = shard.metrics.queue_depth.get().max(0) as u64;
-    if depth >= shared.config.shed_queue_depth.max(1) as u64 {
-        shard.metrics.shed.inc();
-        shard.metrics.overloaded.inc();
-        span.record("shed", true);
-        return ScoreStep::Done(ScoreOutcome::Error(overloaded(depth)), span, stages);
-    }
-
-    let sentinel_key = if sentinel_on {
-        Some(cache_key.clone())
-    } else {
+            start,
+            admitted,
+            deadline: admitted + shared.config.request_deadline,
+        });
         None
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let mut job = ScoreJob::new(features, cache_key, reply_tx);
-    if let Some(t) = trace {
-        job.trace_id = t.trace_id;
-        job.client_span = t.span_id;
     }
-    // Re-stamp right before the push so `queue_wait` starts at enqueue,
-    // not at job construction.
-    let enqueued = Instant::now();
-    job.enqueued_at = enqueued;
-    match job_tx.try_send(job) {
-        Err(TrySendError::Full(_)) => {
-            shard.metrics.overloaded.inc();
-            span.record("overloaded", true);
-            ScoreStep::Done(
-                ScoreOutcome::Error(overloaded(shared.config.queue_capacity as u64)),
-                span,
-                stages,
-            )
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            ScoreStep::Done(ScoreOutcome::Error(ServeError::ShuttingDown), span, stages)
-        }
-        Ok(()) => {
-            shard.metrics.queue_depth.add(1);
-            ScoreStep::Pending(Pending {
-                rx: reply_rx,
-                span,
-                stages,
-                start,
-                enqueued,
-                deadline: enqueued + shared.config.request_deadline,
-                sentinel_key,
-                poison,
-                client_id: client_id.to_string(),
-            })
-        }
-    }
-}
 
-/// Checks whether the connection's in-flight request resolved — a
-/// scorer reply arrived, the scorer vanished, or the deadline passed —
-/// and if so writes the response.
-fn settle_pending(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn) {
-    let completion = {
-        let pending = conn.pending.as_ref().expect("settle without pending");
-        match pending.rx.try_recv() {
-            Ok(result) => Some(Completion::Reply(result)),
-            Err(mpsc::TryRecvError::Empty) => {
-                if Instant::now() >= pending.deadline {
-                    Some(Completion::Deadline)
-                } else {
-                    None
+    /// Runs every batch that is due: a held batch past its release, the
+    /// next `max_batch` rows of a flush in progress, or a new flush once
+    /// the pending list fills a batch or its window closes. Returns
+    /// whether any batch ran.
+    fn advance(&mut self, conns: &mut BTreeMap<usize, Conn>) -> bool {
+        let mut ran = false;
+        loop {
+            let now = Instant::now();
+            if let Some(held) = &self.batcher.held {
+                if now < held.release {
+                    return ran;
                 }
+                let held = self.batcher.held.take().expect("held batch");
+                self.score(held.rows, held.start, conns);
+                ran = true;
+                continue;
             }
-            Err(mpsc::TryRecvError::Disconnected) => Some(Completion::ScorerGone),
-        }
-    };
-    let Some(completion) = completion else { return };
-    let mut pending = conn.pending.take().expect("settle without pending");
-    let outcome = match completion {
-        Completion::Reply(Ok(reply)) => {
-            // The enqueue → reply wait decomposes into the
-            // scorer-measured queue and batch waits; everything else
-            // (the forward pass, reply fan-out, and the wake-up gap) is
-            // attributed to inference so the six stages always sum to
-            // the observed wait.
-            let waited = pending.enqueued.elapsed();
-            pending.stages.queue_wait += reply.queue_wait;
-            pending.stages.batch_wait += reply.batch_wait;
-            pending.stages.inference += waited.saturating_sub(reply.queue_wait + reply.batch_wait);
-            shard.metrics.record_latency(pending.start.elapsed());
-            pending.span.record("batch_size", reply.batch_size as u64);
-            let served = if let Some(key) = pending.sentinel_key.take() {
-                let check = Instant::now();
-                sentinel_record(
-                    shard,
-                    &pending.client_id,
-                    key.clone(),
-                    Some(reply.score >= 0.5),
-                );
-                pending.stages.sentinel_check += check.elapsed();
-                serve_score(
-                    shared,
-                    shard,
-                    pending.poison,
-                    reply.score,
-                    &key,
-                    &mut pending.span,
-                )
-            } else {
-                reply.score
-            };
-            ScoreOutcome::Reply {
-                resp: ScoreResponse::new(served, false, reply.batch_size)
-                    .with_generation(reply.generation),
-                faulted: true,
-            }
-        }
-        Completion::Reply(Err(e)) => ScoreOutcome::Error(e),
-        Completion::Deadline => {
-            // Abandon the reply channel: the scorer's eventual send
-            // fails harmlessly and the connection stays in sync instead
-            // of hanging on a wedged scorer.
-            shard.metrics.deadline_exceeded.inc();
-            pending.span.record("deadline_exceeded", true);
-            ScoreOutcome::Error(ServeError::DeadlineExceeded {
-                deadline_ms: shared.config.request_deadline.as_millis() as u64,
-            })
-        }
-        Completion::ScorerGone => ScoreOutcome::Error(ServeError::Internal {
-            detail: "scorer dropped the reply".to_string(),
-        }),
-    };
-    let Pending {
-        mut span,
-        mut stages,
-        ..
-    } = pending;
-    finish_score(shared, shard, conn, &outcome, &mut stages, &mut span);
-}
-
-/// The single exit for every score request: encode + write is the
-/// `serialize` stage, after which the full six-stage decomposition is
-/// recorded on the span and into the `serve_stage_*_us` histograms.
-fn finish_score(
-    shared: &Arc<Shared>,
-    shard: &ShardState,
-    conn: &mut Conn,
-    outcome: &ScoreOutcome,
-    stages: &mut StageTimes,
-    span: &mut Span,
-) {
-    let serialize_start = Instant::now();
-    let (line, faulted) = match outcome {
-        ScoreOutcome::Reply { resp, faulted } => (protocol::encode_score(resp), *faulted),
-        ScoreOutcome::Error(err) => {
-            shard.metrics.errors.inc();
-            (protocol::encode_error(err), true)
-        }
-    };
-    send_line(shared, shard, conn, &line, faulted);
-    stages.serialize = serialize_start.elapsed();
-    shard.metrics.record_stages(stages);
-    let [queue_wait, batch_wait, cache_lookup, sentinel_check, inference, serialize] =
-        stages.as_us();
-    span.record("stage_queue_wait_us", queue_wait);
-    span.record("stage_batch_wait_us", batch_wait);
-    span.record("stage_cache_lookup_us", cache_lookup);
-    span.record("stage_sentinel_check_us", sentinel_check);
-    span.record("stage_inference_us", inference);
-    span.record("stage_serialize_us", serialize);
-}
-
-/// Records one query in the shard's sentinel and forwards its
-/// observations to the metrics. No-op when the sentinel is disabled.
-fn sentinel_record(shard: &ShardState, client_id: &str, key: Vec<i64>, verdict: Option<bool>) {
-    let obs = match shard.sentinel.lock() {
-        Ok(mut s) => s.record(client_id, key, verdict),
-        Err(_) => return,
-    };
-    if obs.near_duplicate {
-        shard.metrics.sentinel_near_duplicates.inc();
-    }
-    if obs.verdict_flip {
-        shard.metrics.sentinel_verdict_flips.inc();
-    }
-    if obs.newly_flagged {
-        shard.metrics.sentinel_flagged.inc();
-    }
-}
-
-/// The score actually sent to the client: the true score, or — for a
-/// poison-flagged client — a deterministic seed-randomized one.
-fn serve_score(
-    shared: &Shared,
-    shard: &ShardState,
-    poison: bool,
-    score: f64,
-    key: &[i64],
-    span: &mut Span,
-) -> f64 {
-    if !poison {
-        return score;
-    }
-    shard.metrics.sentinel_poisoned.inc();
-    span.record("poisoned", true);
-    poison_score(shared.config.sentinel.seed, key)
-}
-
-// ---------------------------------------------------------------------------
-// Writes
-// ---------------------------------------------------------------------------
-
-fn respond_error(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn, err: &ServeError) {
-    shard.metrics.errors.inc();
-    send_line(shared, shard, conn, &protocol::encode_error(err), true);
-}
-
-/// Writes one response line, marking the connection dead on failure;
-/// `faulted` routes through the write-fault sites.
-fn send_line(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn, line: &str, faulted: bool) {
-    let result = if faulted {
-        write_line_faulted(shared, shard, &mut conn.stream, line)
-    } else {
-        write_line(&mut conn.stream, line)
-    };
-    if result.is_err() {
-        conn.dead = true;
-    }
-}
-
-/// Writes a multi-line Prometheus exposition block over the otherwise
-/// line-oriented protocol, terminated by a `# EOF` marker line
-/// (OpenMetrics convention) so clients know where the block ends.
-fn write_metrics_block(conn: &mut Conn, text: &str) {
-    let mut block = String::with_capacity(text.len() + 8);
-    block.push_str(text);
-    if !block.ends_with('\n') {
-        block.push('\n');
-    }
-    block.push_str("# EOF\n");
-    if write_all_blocking(&mut conn.stream, block.as_bytes()).is_err() {
-        conn.dead = true;
-    }
-}
-
-/// Writes a response line on the score path, subject to write faults:
-/// [`FaultSite::WriteReset`] drops the connection instead of writing,
-/// [`FaultSite::SlowWrite`] splits the line into two flushed chunks
-/// with a pause between them.
-fn write_line_faulted(
-    shared: &Shared,
-    shard: &ShardState,
-    stream: &mut TcpStream,
-    line: &str,
-) -> std::io::Result<()> {
-    if shared.fire(&shard.metrics, FaultSite::WriteReset) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::ConnectionReset,
-            "injected fault: write reset",
-        ));
-    }
-    if shared.fire(&shard.metrics, FaultSite::SlowWrite) {
-        let bytes = line.as_bytes();
-        let mid = bytes.len() / 2;
-        write_all_blocking(stream, &bytes[..mid])?;
-        std::thread::sleep(shared.injector.delay());
-        write_all_blocking(stream, &bytes[mid..])?;
-        return write_all_blocking(stream, b"\n");
-    }
-    write_line(stream, line)
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    write_all_blocking(stream, line.as_bytes())?;
-    write_all_blocking(stream, b"\n")
-}
-
-/// `write_all` over a non-blocking socket: on `WouldBlock`, waits for
-/// writability (capped at [`WRITE_STALL_CAP`]) and retries. Responses
-/// are small, so stalls only happen when a peer stops reading.
-fn write_all_blocking(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
-    let stall_start = Instant::now();
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "peer stopped accepting bytes",
-                ))
-            }
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stall_start.elapsed() > WRITE_STALL_CAP {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "write stalled past the cap",
-                    ));
+            if self.batcher.flushing.is_empty() {
+                // A draining shard scores what it holds without waiting.
+                let window = self.shared.config.batch_timeout;
+                let due = self.batcher.pending.len() >= self.max_batch
+                    || self.shared.shutting_down.load(Ordering::SeqCst)
+                    || self
+                        .batcher
+                        .pending
+                        .front()
+                        .is_some_and(|m| now >= m.admitted + window);
+                if self.batcher.pending.is_empty() || !due {
+                    return ran;
                 }
-                reactor::wait_writable(stream, Duration::from_millis(100))?;
+                self.batcher.flush_start = now;
+                self.batcher.flushing = std::mem::take(&mut self.batcher.pending);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            let n = self.max_batch.min(self.batcher.flushing.len());
+            let rows: Vec<Miss> = self.batcher.flushing.drain(..n).collect();
+            // The first batch of a flush starts with it: zero queue_wait.
+            let start = now;
+            if self.shared.fire(&self.shard.metrics, FaultSite::ScoreDelay) {
+                let release = start + self.shared.injector.delay();
+                self.batcher.held = Some(Held {
+                    rows,
+                    start,
+                    release,
+                });
+                continue;
+            }
+            self.score(rows, start, conns);
+            ran = true;
         }
     }
-    Ok(())
-}
 
-// ---------------------------------------------------------------------------
-// Scorer
-// ---------------------------------------------------------------------------
-
-pub(crate) fn scorer_loop(
-    shared: &Shared,
-    shard: &ShardState,
-    rx: &Receiver<ScoreJob>,
-    max_batch: usize,
-    batch_timeout: Duration,
-) {
-    while let Some(jobs) = collect_batch(rx, max_batch, batch_timeout) {
+    /// Scores one batch inline and answers its rows.
+    fn score(&mut self, mut rows: Vec<Miss>, start: Instant, conns: &mut BTreeMap<usize, Conn>) {
+        if rows.is_empty() {
+            return;
+        }
+        let (shared, shard) = (self.shared, self.shard);
+        let metrics = &shard.metrics;
         // One Arc clone per batch: a concurrent reload lands exactly at
         // a batch boundary, so every row in this batch — and the reply
-        // generation each job reports — comes from one model.
+        // generation each reports — comes from one model.
         let model = shared.model.current();
+        let n = rows.len();
         let mut span = Span::enter("serve.batch");
-        // Batch execution starts here: each job's `batch_wait` stage
-        // ends now, and everything until the scores are back — the
-        // rows copy, any injected slow-inference fault, and the
-        // forward pass itself — is attributed to `inference`.
-        let exec_start = Instant::now();
-        shard.metrics.queue_depth.add(-(jobs.len() as i64));
-        if shared.fire(&shard.metrics, FaultSite::ScoreDelay) {
-            std::thread::sleep(shared.injector.delay());
-        }
-        let rows: Vec<Vec<f64>> = jobs.iter().map(|j| j.features.clone()).collect();
-        span.record("rows", rows.len() as u64);
+        span.record("rows", n as u64);
         span.record("shard", shard.index as u64);
         span.record("generation", model.generation);
         // Tag the batch with every member's wire trace so a request is
         // followable into the batch that scored it.
-        for job in &jobs {
-            if job.trace_id != 0 {
+        for trace in rows.iter().filter_map(|m| m.trace) {
+            if trace.trace_id != 0 {
                 trace::event(
                     "serve.batch.job",
                     &[
-                        ("trace_id", job.trace_id.into()),
-                        ("client_span", job.client_span.into()),
+                        ("trace_id", trace.trace_id.into()),
+                        ("client_span", trace.span_id.into()),
                     ],
                 );
             }
         }
+        let features: Vec<Vec<f64>> = rows
+            .iter_mut()
+            .map(|m| std::mem::take(&mut m.features))
+            .collect();
 
         // BatchPanic/RowPanic fire inside the isolated scorer; with a
         // single shard (every deterministic chaos plan) only this
         // thread consumes those sites, so the delta is race-free.
-        let scorer_faults = |shared: &Shared| {
+        let scorer_faults = || {
             shared.injector.fired(FaultSite::BatchPanic)
                 + shared.injector.fired(FaultSite::RowPanic)
         };
-        let faults_before = scorer_faults(shared);
-        let outcome = score_rows_isolated(&model.network, &rows, &shared.injector);
-        let inference = exec_start.elapsed();
-        shard
-            .metrics
-            .faults_injected
-            .add(scorer_faults(shared) - faults_before);
-
-        let n = jobs.len();
-        shard.metrics.batches.inc();
-        shard.metrics.record_batch_size(n as u64);
+        let faults_before = scorer_faults();
+        let outcome = score_rows_isolated(&model.network, &features, &shared.injector);
+        metrics.faults_injected.add(scorer_faults() - faults_before);
+        metrics.batches.inc();
+        metrics.record_batch_size(n as u64);
         if outcome.batch_failed {
-            shard.metrics.scorer_panics.inc();
+            metrics.scorer_panics.inc();
             span.record("batch_failed", true);
         }
-        shard.metrics.row_failures.add(outcome.row_failures);
+        metrics.row_failures.add(outcome.row_failures);
         let ok_rows = outcome.scores.iter().filter(|s| s.is_ok()).count() as u64;
-        shard.metrics.rows_scored.add(ok_rows);
-
-        if let Ok(mut cache) = shard.cache.lock() {
-            for (job, score) in jobs.iter().zip(&outcome.scores) {
-                if let Ok(score) = score {
-                    cache.insert(job.cache_key.clone(), (*score, model.generation));
-                }
+        metrics.rows_scored.add(ok_rows);
+        for (miss, score) in rows.iter().zip(&outcome.scores) {
+            if let Ok(score) = score {
+                self.cache
+                    .insert(miss.cache_key.clone(), (*score, model.generation));
             }
         }
-        for (job, score) in jobs.into_iter().zip(outcome.scores) {
-            // A send error means the connection died or gave up on its
-            // deadline; successful scores are already cached, so the
-            // work is not wasted either way.
-            let reply = match score {
-                Ok(score) => Ok(ScoredReply {
-                    score,
-                    batch_size: n,
-                    queue_wait: job.received_at.saturating_duration_since(job.enqueued_at),
-                    batch_wait: exec_start.saturating_duration_since(job.received_at),
-                    inference,
-                    generation: model.generation,
-                }),
-                Err(detail) => Err(ServeError::Internal { detail }),
+        metrics
+            .cache_entries
+            .set(self.cache.len().min(i64::MAX as usize) as i64);
+        drop(span);
+
+        let flush_start = Some(self.batcher.flush_start);
+        for (mut miss, score) in rows.into_iter().zip(outcome.scores) {
+            split_wait(&mut miss.stages, miss.admitted, flush_start, Some(start));
+            let outcome = match score {
+                Ok(score) => {
+                    let key = &miss.cache_key;
+                    metrics.record_latency(miss.start.elapsed());
+                    miss.span.record("batch_size", n as u64);
+                    let served = if shared.config.sentinel.enabled {
+                        let check = Instant::now();
+                        self.sentinel_record(&miss.client_id, key.clone(), Some(score >= 0.5));
+                        miss.stages.sentinel_check += check.elapsed();
+                        self.serve_score(miss.poison, score, key, &mut miss.span)
+                    } else {
+                        score
+                    };
+                    ScoreOutcome::Reply {
+                        resp: ScoreResponse::new(served, false, n)
+                            .with_generation(model.generation),
+                        faulted: true,
+                    }
+                }
+                Err(detail) => ScoreOutcome::Error(ServeError::Internal { detail }),
             };
-            let _ = job.reply.send(reply);
+            // A connection that died meanwhile gets no reply; its score
+            // is cached all the same.
+            if let Some(conn) = conns.get_mut(&miss.conn) {
+                let (stages, span) = (&mut miss.stages, &mut miss.span);
+                self.finish_score(conn, Some(miss.seq), &outcome, stages, span);
+            }
         }
-        // Wake the owning event loop so replies are observed now, not
-        // at the next idle tick.
-        shard.waker.wake();
+    }
+
+    /// Answers every miss whose deadline has passed with a typed
+    /// `deadline_exceeded`, wherever it waits, so a held or slow batch
+    /// never hangs a connection.
+    fn expire(&mut self, conns: &mut BTreeMap<usize, Conn>) {
+        let now = Instant::now();
+        let late = |m: &Miss| m.deadline <= now;
+        let flush_start = Some(self.batcher.flush_start);
+        let mut expired: Vec<(Miss, Option<Instant>, Option<Instant>)> = Vec::new();
+        if let Some(held) = &mut self.batcher.held {
+            let n = held.rows.partition_point(late);
+            let batch_start = Some(held.start);
+            expired.extend(held.rows.drain(..n).map(|m| (m, flush_start, batch_start)));
+        }
+        let n = self.batcher.flushing.partition_point(late);
+        expired.extend(
+            self.batcher
+                .flushing
+                .drain(..n)
+                .map(|m| (m, flush_start, None)),
+        );
+        let n = self.batcher.pending.partition_point(late);
+        expired.extend(self.batcher.pending.drain(..n).map(|m| (m, None, None)));
+
+        let deadline_ms = self.shared.config.request_deadline.as_millis() as u64;
+        for (mut miss, flush_start, batch_start) in expired {
+            self.shard.metrics.deadline_exceeded.inc();
+            miss.span.record("deadline_exceeded", true);
+            split_wait(&mut miss.stages, miss.admitted, flush_start, batch_start);
+            if let Some(conn) = conns.get_mut(&miss.conn) {
+                let outcome = ScoreOutcome::Error(ServeError::DeadlineExceeded { deadline_ms });
+                self.finish_score(
+                    conn,
+                    Some(miss.seq),
+                    &outcome,
+                    &mut miss.stages,
+                    &mut miss.span,
+                );
+            }
+        }
+    }
+
+    /// The single exit for every score request: encode, queue and a
+    /// non-blocking flush are the `serialize` stage, after which the
+    /// full six-stage decomposition is recorded on the span and into the
+    /// `serve_stage_*_us` histograms.
+    fn finish_score(
+        &self,
+        conn: &mut Conn,
+        seq: Option<u64>,
+        outcome: &ScoreOutcome,
+        stages: &mut StageTimes,
+        span: &mut Span,
+    ) {
+        let serialize_start = Instant::now();
+        let (line, faulted) = match outcome {
+            ScoreOutcome::Reply { resp, faulted } => (protocol::encode_score(resp), *faulted),
+            ScoreOutcome::Error(err) => {
+                self.shard.metrics.errors.inc();
+                (protocol::encode_error(err), true)
+            }
+        };
+        self.deliver(conn, seq, line, faulted);
+        stages.serialize = serialize_start.elapsed();
+        self.shard.metrics.record_stages(stages);
+        let [queue_wait, batch_wait, cache_lookup, sentinel_check, inference, serialize] =
+            stages.as_us();
+        span.record("stage_queue_wait_us", queue_wait);
+        span.record("stage_batch_wait_us", batch_wait);
+        span.record("stage_cache_lookup_us", cache_lookup);
+        span.record("stage_sentinel_check_us", sentinel_check);
+        span.record("stage_inference_us", inference);
+        span.record("stage_serialize_us", serialize);
+    }
+
+    /// Records one query in the shard's sentinel and forwards its
+    /// observations to the metrics.
+    fn sentinel_record(&self, client_id: &str, key: Vec<i64>, verdict: Option<bool>) {
+        let obs = match self.shard.sentinel.lock() {
+            Ok(mut s) => s.record(client_id, key, verdict),
+            Err(_) => return,
+        };
+        let metrics = &self.shard.metrics;
+        if obs.near_duplicate {
+            metrics.sentinel_near_duplicates.inc();
+        }
+        if obs.verdict_flip {
+            metrics.sentinel_verdict_flips.inc();
+        }
+        if obs.newly_flagged {
+            metrics.sentinel_flagged.inc();
+        }
+    }
+
+    /// The score actually sent to the client: the true score, or — for a
+    /// poison-flagged client — a deterministic seed-randomized one.
+    fn serve_score(&self, poison: bool, score: f64, key: &[i64], span: &mut Span) -> f64 {
+        if !poison {
+            return score;
+        }
+        self.shard.metrics.sentinel_poisoned.inc();
+        span.record("poisoned", true);
+        poison_score(self.shared.config.sentinel.seed, key)
+    }
+
+    // -----------------------------------------------------------------------
+    // Writes
+    // -----------------------------------------------------------------------
+
+    fn respond_error(&self, conn: &mut Conn, err: &ServeError) {
+        self.shard.metrics.errors.inc();
+        self.deliver(conn, None, protocol::encode_error(err), true);
+    }
+
+    /// Queues one reply line for `conn` and flushes what is in order.
+    /// `faulted` routes it through the write-fault sites:
+    /// [`FaultSite::WriteReset`] drops the connection instead of
+    /// replying, [`FaultSite::SlowWrite`] pauses the loop after flushing
+    /// the first half of the line (when it is next on the wire).
+    fn deliver(&self, conn: &mut Conn, seq: Option<u64>, line: String, faulted: bool) {
+        let shared = self.shared;
+        let metrics = &self.shard.metrics;
+        if faulted && shared.fire(metrics, FaultSite::WriteReset) {
+            conn.dead = true;
+            return;
+        }
+        let mut bytes = line.into_bytes();
+        if faulted && shared.fire(metrics, FaultSite::SlowWrite) {
+            // Split only a reply that goes straight to the wire.
+            if seq.map_or(conn.replies.is_empty(), |seq| seq == conn.first_seq) {
+                let rest = bytes.split_off(bytes.len() / 2);
+                conn.emit(&bytes);
+                bytes = rest;
+            }
+            conn.flush();
+            std::thread::sleep(shared.injector.delay());
+        }
+        bytes.push(b'\n');
+        conn.queue(seq, bytes);
+        conn.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(s: &str) -> LineStatus {
+        LineStatus::Line(s.to_string())
+    }
+
+    /// Frames `bytes` until the buffer runs dry or a line is rejected.
+    fn frames(bytes: &[u8], limit: usize, eof: bool) -> Vec<LineStatus> {
+        let mut input = LineBuf {
+            bytes: bytes.to_vec(),
+            consumed: 0,
+        };
+        let mut out = Vec::new();
+        loop {
+            let status = input.extract_line(limit, eof);
+            let done = !matches!(status, LineStatus::Line(_));
+            out.push(status);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_split_across_reads_is_framed_once_complete() {
+        let mut input = LineBuf::default();
+        input.bytes.extend_from_slice(b"{\"cmd\":");
+        assert_eq!(input.extract_line(64, false), LineStatus::NotYet);
+        input.bytes.extend_from_slice(b"\"stats\"}\n{\"cmd\"");
+        assert_eq!(input.extract_line(64, false), line("{\"cmd\":\"stats\"}"));
+        assert_eq!(input.extract_line(64, false), LineStatus::NotYet);
+        input.compact();
+        input.bytes.extend_from_slice(b":\"health\"}\n");
+        assert_eq!(input.extract_line(64, false), line("{\"cmd\":\"health\"}"));
+        assert_eq!(input.unconsumed(), 0);
+    }
+
+    #[test]
+    fn crlf_endings_are_stripped() {
+        let framed = frames(b"a\r\nb\n", 64, false);
+        assert_eq!(framed, [line("a"), line("b"), LineStatus::NotYet]);
+    }
+
+    #[test]
+    fn a_final_unterminated_line_is_served_after_eof() {
+        let framed = frames(b"first\nlast", 64, false);
+        assert_eq!(framed, [line("first"), LineStatus::NotYet]);
+        let framed = frames(b"first\nlast", 64, true);
+        assert_eq!(framed, [line("first"), line("last"), LineStatus::NotYet]);
+    }
+
+    #[test]
+    fn limit_plus_one_bytes_without_a_newline_is_too_long() {
+        assert_eq!(frames(&[b'x'; 8], 8, false), [LineStatus::NotYet]);
+        assert_eq!(frames(&[b'x'; 9], 8, false), [LineStatus::TooLong]);
+    }
+
+    #[test]
+    fn a_newline_past_the_limit_is_too_long() {
+        let framed = frames(b"12345678\n", 8, false);
+        assert_eq!(framed, [line("12345678"), LineStatus::NotYet]);
+        let framed = frames(b"ok\n123456789\n", 8, false);
+        assert_eq!(framed, [line("ok"), LineStatus::TooLong]);
     }
 }

@@ -259,3 +259,108 @@ fn graceful_shutdown_over_the_wire_drains_and_acknowledges() {
     let stats = handle.join();
     assert_eq!(stats.requests, 1);
 }
+
+/// What one pipelined request must be answered with.
+enum Want {
+    Score { bits: u64, cached: bool },
+    Prefix(&'static str),
+}
+
+/// One connection pipelines a mixed backlog in a single write: misses,
+/// repeats that hit the cache, commands, a malformed line, and a
+/// trailing over-long line. Replies must come back in request order,
+/// every score bit-identical to the oracle, the misses must share
+/// batches, and the over-long line is answered only after every earlier
+/// reply, followed by the close.
+#[test]
+fn pipelined_lines_answer_in_order_and_share_batches() {
+    const MAX_LINE: usize = 16 * 1024;
+    let handle = spawn(
+        ctx().detector.clone(),
+        ServeConfig {
+            max_batch: 4,
+            // Long enough that only a full batch, never the window,
+            // triggers scoring.
+            batch_timeout: Duration::from_millis(200),
+            max_line_bytes: MAX_LINE,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let test = ctx().dataset.test();
+    let score = |i: usize, cached: bool| {
+        let counts = test[i % test.len()].counts();
+        let want = Want::Score {
+            bits: oracle_score(counts).to_bits(),
+            cached,
+        };
+        (render_line(counts), want)
+    };
+    let command = |line: &str, prefix: &'static str| (line.to_string(), Want::Prefix(prefix));
+    let mut script: Vec<(String, Want)> = (0..4).map(|i| score(i, false)).collect();
+    script.extend([
+        score(0, true),
+        score(2, true),
+        command("{\"cmd\":\"stats\"}", "{\"stats\":{"),
+        command("{\"cmd\":\"health\"}", "{\"health\":{"),
+        command(
+            "{\"features\":[1,2",
+            "{\"error\":{\"kind\":\"malformed_json\"",
+        ),
+    ]);
+    script.extend((4..8).map(|i| score(i, false)));
+    script.push(score(5, true));
+
+    let mut payload = String::new();
+    for (line, _) in &script {
+        payload.push_str(line);
+        payload.push('\n');
+    }
+    payload.push_str(&"x".repeat(MAX_LINE + 1));
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writer.write_all(payload.as_bytes()).expect("single write");
+    let mut reader = BufReader::new(stream);
+
+    let mut misses = 0u64;
+    for (i, (_, want)) in script.iter().enumerate() {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read reply");
+        let resp = resp.trim_end();
+        match want {
+            Want::Score { bits, cached } => {
+                assert_eq!(parse_score(resp).to_bits(), *bits, "reply {i}: {resp}");
+                let hit = resp.contains("\"cached\":true");
+                assert_eq!(hit, *cached, "reply {i}: {resp}");
+                misses += u64::from(!hit);
+            }
+            Want::Prefix(prefix) => assert!(resp.starts_with(prefix), "reply {i}: {resp}"),
+        }
+    }
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("read too-long reply");
+    assert!(
+        resp.starts_with("{\"error\":{\"kind\":\"line_too_long\""),
+        "{resp}"
+    );
+    resp.clear();
+    assert_eq!(
+        reader.read_line(&mut resp).expect("read close"),
+        0,
+        "{resp}"
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(misses, 8);
+    assert_eq!(stats.cache_misses, misses);
+    assert!(
+        stats.batches < misses,
+        "misses must share batches: {} batches for {misses} misses",
+        stats.batches
+    );
+}
