@@ -13,8 +13,8 @@
 //!
 //! * `scalar` — the original i-k-j reference kernel;
 //! * `blocked` — the cache-blocked single-threaded kernel;
-//! * `pooled` — the blocked kernel partitioned over the worker pool
-//!   (`--threads`, `MALEVA_THREADS`, or hardware default);
+//! * `pooled` — the blocked kernel split into row chunks over scoped
+//!   threads (`--threads`, `MALEVA_THREADS`, or hardware default);
 //! * `simd` — the f32 panel micro-kernel backend (DESIGN.md §13),
 //!   checked against the scalar reference within its 1e-5 relative
 //!   tolerance instead of bitwise.
@@ -25,6 +25,11 @@
 //! `scalar_vs_simd` ratio on the Table IV substitute shapes at
 //! batch >= 64 reaches 1.5x — the floors the CI perf gate then defends
 //! against regression (see `bench_gate`).
+//!
+//! For every shape at or above `PARALLEL_WORK_THRESHOLD` (the products
+//! the `pooled` backend actually partitions) the report also carries
+//! `pooled_vs_blocked = blocked_s / pooled_s`, ungated: below 1.0 the
+//! row partition costs more than it saves on this host.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -93,6 +98,10 @@ struct ShapeResult {
     blocked_speedup: f64,
     pooled_speedup: f64,
     simd_speedup: f64,
+    /// `blocked_s / pooled_s`, only for shapes the `pooled` backend
+    /// partitions (`batch * k * n >= PARALLEL_WORK_THRESHOLD`), else
+    /// `null`.
+    pooled_vs_blocked: Option<f64>,
     bit_identical: bool,
     simd_within_tolerance: bool,
 }
@@ -219,6 +228,7 @@ fn bench_shape(
         blocked_speedup: scalar_s / blocked_s,
         pooled_speedup: scalar_s / pooled_s,
         simd_speedup: scalar_s / simd_s,
+        pooled_vs_blocked: pool::parallel_worthwhile(batch * k * n).then(|| blocked_s / pooled_s),
         bit_identical: identical,
         simd_within_tolerance: simd_ok,
     }
@@ -351,10 +361,19 @@ fn main() -> ExitCode {
         "epoch (491->512->256->2, 512 samples): {epoch_ms:.1} ms | \
          JSMA row Jacobian: {jsma_row_jacobian_us:.0} us"
     );
+    let pooled_vs_blocked: Vec<String> = shapes
+        .iter()
+        .filter_map(|s| {
+            let ratio = s.pooled_vs_blocked?;
+            Some(format!("{}x{}x{} {ratio:.2}x", s.batch, s.k, s.n))
+        })
+        .collect();
     println!(
         "bit_identical: {bit_ok} | simd_within_tolerance: {simd_tol_ok} | \
          best speedup at batch >= 64: {speedup_batch64:.2}x \
-         (blocked-only {blocked_speedup_batch64:.2}x, scalar_vs_simd {scalar_vs_simd:.2}x)"
+         (blocked-only {blocked_speedup_batch64:.2}x, scalar_vs_simd {scalar_vs_simd:.2}x) | \
+         pooled_vs_blocked: {}",
+        pooled_vs_blocked.join(", ")
     );
 
     let report = BenchReport {

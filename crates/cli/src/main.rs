@@ -149,8 +149,9 @@ per-span latency percentiles, client/server trace joining, six-stage
 decomposition checks, and the slowest-request exemplars
 
 every command accepts --trace-out FILE (or '-' for stderr) to write
-newline-delimited JSON spans, --threads N (or MALEVA_THREADS) to size
-the linalg worker pool, and --backend scalar|blocked|pooled|simd (or
+newline-delimited JSON spans, --threads N (or MALEVA_THREADS) to set
+how many row chunks large linalg products split into, and
+--backend scalar|pooled|simd (or
 MALEVA_BACKEND) to pick the linalg backend every product dispatches
 through — pooled (default) is bit-identical to the scalar reference,
 simd is the fast f32 micro-kernel with a 1e-5 tolerance contract;

@@ -1,4 +1,4 @@
-//! Cache-blocked, optionally pool-parallel matrix kernels.
+//! Cache-blocked, optionally row-partitioned matrix kernels.
 //!
 //! Every kernel here preserves one invariant to the bit: **each output
 //! element accumulates its products in ascending-`k` order, skipping
@@ -23,18 +23,17 @@
 //! * `NC = 512` limits the column panel for the same reason.
 //!
 //! Parallel dispatch partitions **output rows** into `threads`
-//! contiguous chunks: chunk 0 runs on the calling thread, the rest are
-//! shipped to the shared [`pool`] as owned copies (the
-//! right-hand side is shared behind one `Arc`'d copy). Chunks are glued
-//! back by index, so scheduling order cannot affect the result.
+//! contiguous chunks (`pool::partition_rows`): chunk 0 runs on the
+//! calling thread, the rest on scoped threads that borrow the operands
+//! and write their own rows of the output in place, so scheduling order
+//! cannot affect the result.
 
-use std::sync::mpsc::channel;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use maleva_obs::metrics::{Counter, Histogram};
 
-use crate::pool::{self, Job};
+use crate::pool;
 use crate::{LinalgError, Matrix};
 
 /// Output rows produced together by the register-blocked inner kernel.
@@ -47,7 +46,7 @@ pub const KC: usize = 256;
 pub const NC: usize = 512;
 
 /// Re-export of the canonical dispatch threshold, which lives in
-/// [`pool`] next to the worker machinery it sizes work for (see
+/// [`pool`] next to the row partition it sizes work for (see
 /// [`pool::parallel_worthwhile`]).
 pub use crate::pool::PARALLEL_WORK_THRESHOLD;
 
@@ -168,71 +167,32 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     Ok(out)
 }
 
-/// Cache-blocked matmul partitioned over `threads` row chunks on the
-/// shared worker pool, bit-identical to [`matmul_scalar`] for every
-/// thread count.
+/// Cache-blocked matmul split into `threads` row chunks
+/// (`pool::partition_rows`), bit-identical to [`matmul_scalar`] for
+/// every thread count.
 ///
-/// Chunk 0 is computed on the calling thread; chunks `1..threads` own a
-/// copy of their `a` rows plus a shared copy of `b` and run on the pool.
-/// `threads` is clamped to `[1, min(rows, MAX_POOL_WORKERS)]`.
+/// Chunk 0 is computed on the calling thread, the others on scoped
+/// threads that borrow `a` and `b` and write their rows of the result
+/// in place. `threads` is clamped to `[1, min(rows, MAX_POOL_WORKERS)]`.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::DimensionMismatch`] if `a.cols() != b.rows()`.
-///
-/// # Panics
-///
-/// Panics if a pool worker's chunk panicked (numeric kernels cannot
-/// panic themselves; this guards pool integrity bugs).
 pub fn matmul_pooled(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, LinalgError> {
     check_matmul_dims(a, b)?;
     let (m, k) = a.shape();
     let n = b.cols();
-    let threads = threads.clamp(1, pool::MAX_POOL_WORKERS).min(m.max(1));
-    if threads <= 1 {
-        return matmul_blocked(a, b);
-    }
     let mut out = Matrix::zeros(m, n);
-    let chunk_rows = m.div_ceil(threads);
-    let b_shared: Arc<Vec<f64>> = Arc::new(b.as_slice().to_vec());
-    let (tx, rx) = channel::<(usize, Vec<f64>)>();
-    let mut jobs: Vec<Job> = Vec::with_capacity(threads - 1);
-    let mut row0 = chunk_rows; // chunk 0 stays on the calling thread
-    let mut chunk_idx = 0usize;
-    while row0 < m {
-        let rows_here = chunk_rows.min(m - row0);
-        let a_block = a.as_slice()[row0 * k..(row0 + rows_here) * k].to_vec();
-        let b_arc = Arc::clone(&b_shared);
-        let tx_chunk = tx.clone();
-        jobs.push(Box::new(move || {
-            let mut local = vec![0.0; rows_here * n];
-            block_into(&a_block, rows_here, k, &b_arc, n, &mut local);
-            let _ = tx_chunk.send((chunk_idx, local));
-        }));
-        row0 += rows_here;
-        chunk_idx += 1;
-    }
-    drop(tx);
-    let submitted = jobs.len();
-    pool::submit(jobs);
-
-    let rows0 = chunk_rows.min(m);
-    block_into(
-        &a.as_slice()[..rows0 * k],
-        rows0,
+    pool::partition_rows(
+        a.as_slice(),
+        m,
         k,
         b.as_slice(),
         n,
-        &mut out.as_mut_slice()[..rows0 * n],
+        threads,
+        out.as_mut_slice(),
+        block_into,
     );
-
-    for _ in 0..submitted {
-        let (idx, local) = rx
-            .recv()
-            .expect("linalg pool worker dropped its matmul chunk (worker panic)");
-        let begin = (idx + 1) * chunk_rows;
-        out.as_mut_slice()[begin * n..begin * n + local.len()].copy_from_slice(&local);
-    }
     Ok(out)
 }
 

@@ -1,10 +1,11 @@
-//! A small shared worker pool for the blocked matrix kernels.
+//! Thread-count resolution and the one row-partition path every
+//! parallel kernel goes through.
 //!
-//! The pool is process-global and lazy: no threads exist until the first
-//! parallel kernel dispatch, after which workers are reused for the life
-//! of the process (they block on an idle channel between dispatches, so
-//! an idle pool costs nothing but a few kilobytes of stack). The pool
-//! grows on demand up to [`MAX_POOL_WORKERS`]; it never shrinks.
+//! `partition_rows` splits a product's output rows into contiguous
+//! chunks under [`std::thread::scope`]: chunk 0 runs on the calling
+//! thread, every other chunk on a thread that lives for that one
+//! product. The chunks borrow the operands and write their rows of
+//! `out` in place, so nothing is copied, queued or sent back.
 //!
 //! Thread-count resolution, in priority order:
 //!
@@ -14,37 +15,31 @@
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! The resolved count controls how many row partitions a kernel splits
-//! its output into, **not** how many OS threads exist: requesting 8
-//! threads on a single-core machine still produces 8 deterministic
-//! partitions (serviced by however many workers the OS schedules), which
-//! is what makes thread-count sweeps in the determinism tests meaningful
-//! everywhere. Results are bit-identical for every thread count because
-//! each partition owns a disjoint set of output rows and per-row
-//! summation order never changes (see `kernels`).
+//! its output into, not how many cores run them: requesting 8 threads on
+//! a single-core machine still produces 8 deterministic partitions,
+//! which is what makes thread-count sweeps in the determinism tests
+//! meaningful everywhere. Results are bit-identical for every thread
+//! count because each partition owns a disjoint set of output rows and
+//! per-row summation order never changes (see `kernels`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// A unit of work executed on a pool worker. Jobs must own their data
-/// (`'static`) and report results through their own channel.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Hard ceiling on resolved thread counts and spawned pool workers.
+/// Hard ceiling on resolved thread counts (and so on the row chunks one
+/// product is split into).
 pub const MAX_POOL_WORKERS: usize = 64;
 
 /// Multiply-add count (`m * k * n` for a GEMM) above which partitioning
-/// a product across the pool pays for the input copies it requires.
+/// a product across threads pays for spawning them.
 ///
 /// This is the single source of truth for the dispatch decision: every
 /// backend that can go parallel asks [`parallel_worthwhile`], and
 /// `kernels` re-exports the constant for backward compatibility. Below
-/// the threshold the copies and channel round-trip cost more than the
-/// arithmetic saves (measured in `linalg_bench`; see DESIGN.md §10).
+/// the threshold the thread spawns cost more than the arithmetic saves
+/// (measured in `linalg_bench`; see DESIGN.md §10).
 pub const PARALLEL_WORK_THRESHOLD: usize = 4_000_000;
 
 /// Whether a product with `work` multiply-adds should be partitioned
-/// across the pool. Engages exactly at [`PARALLEL_WORK_THRESHOLD`]
+/// across threads. Engages exactly at [`PARALLEL_WORK_THRESHOLD`]
 /// (`work >= threshold`), which the unit tests pin.
 #[inline]
 pub fn parallel_worthwhile(work: usize) -> bool {
@@ -54,7 +49,7 @@ pub fn parallel_worthwhile(work: usize) -> bool {
 /// `0` means "no override"; anything else wins over env and hardware.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the worker count used by parallel kernels (`0` clears the
+/// Overrides the thread count used by parallel kernels (`0` clears the
 /// override and falls back to `MALEVA_THREADS` / hardware detection).
 /// Values are clamped to [`MAX_POOL_WORKERS`].
 pub fn set_threads(n: usize) {
@@ -82,69 +77,60 @@ pub fn effective_threads() -> usize {
         .min(MAX_POOL_WORKERS)
 }
 
-struct PoolState {
-    sender: Sender<Job>,
-    receiver: Arc<Mutex<Receiver<Job>>>,
-    spawned: usize,
-}
+/// A product kernel over flat row-major slices:
+/// `kernel(a, m, k, b, n, out)` computes `out (m x n) = a (m x k) * b (k x n)`
+/// with `out` zeroed on entry.
+pub(crate) type RowKernel<T> = fn(&[T], usize, usize, &[T], usize, &mut [T]);
 
-static POOL: OnceLock<Mutex<PoolState>> = OnceLock::new();
-
-fn pool() -> &'static Mutex<PoolState> {
-    POOL.get_or_init(|| {
-        let (sender, receiver) = channel();
-        Mutex::new(PoolState {
-            sender,
-            receiver: Arc::new(Mutex::new(receiver)),
-            spawned: 0,
-        })
-    })
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return, // sender gone: process is tearing down
-            }
-        };
-        // A panicking job must not take the worker down with it; the
-        // job's result channel is simply dropped, which the dispatching
-        // kernel observes as a RecvError and escalates.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+/// Runs `kernel` over `threads` contiguous row chunks of `a` / `out`.
+///
+/// Every chunk but the last has `m.div_ceil(threads)` rows; chunk 0 runs
+/// on the calling thread, the others on scoped threads that borrow `b`
+/// and write their rows of `out` in place. `threads` is clamped to
+/// `[1, min(m, MAX_POOL_WORKERS)]`; one chunk (or an empty `k` / `n`
+/// dimension) runs `kernel` once on the caller. Since a chunk only
+/// changes which rows a call sees, never the order of any row's
+/// additions, the result is the same for every thread count.
+///
+/// # Panics
+///
+/// A panic in any chunk is propagated to the caller once every chunk
+/// has finished.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn partition_rows<T: Send + Sync>(
+    a: &[T],
+    m: usize,
+    k: usize,
+    b: &[T],
+    n: usize,
+    threads: usize,
+    out: &mut [T],
+    kernel: RowKernel<T>,
+) {
+    let threads = threads.clamp(1, MAX_POOL_WORKERS).min(m.max(1));
+    if threads <= 1 || k == 0 || n == 0 {
+        kernel(a, m, k, b, n, out);
+        return;
     }
-}
-
-/// Enqueues `jobs` on the shared pool, spawning workers as needed so at
-/// least `min(jobs.len(), MAX_POOL_WORKERS)` workers exist.
-pub(crate) fn submit(jobs: Vec<Job>) {
-    let mut state = pool().lock().unwrap_or_else(PoisonError::into_inner);
-    let want = jobs.len().min(MAX_POOL_WORKERS);
-    while state.spawned < want {
-        let rx = Arc::clone(&state.receiver);
-        let id = state.spawned;
-        std::thread::Builder::new()
-            .name(format!("maleva-linalg-{id}"))
-            .spawn(move || worker_loop(rx))
-            .expect("failed to spawn linalg pool worker");
-        state.spawned += 1;
-    }
-    for job in jobs {
-        // Send can only fail if every receiver is gone, which cannot
-        // happen while the pool state (and its receiver Arc) is alive.
-        state
-            .sender
-            .send(job)
-            .expect("linalg pool receiver disappeared");
-    }
+    let chunk_rows = m.div_ceil(threads);
+    let mut chunks = a.chunks(chunk_rows * k).zip(out.chunks_mut(chunk_rows * n));
+    let (a0, out0) = chunks.next().expect("m > 0 yields a first chunk");
+    std::thread::scope(|scope| {
+        for (a_chunk, out_chunk) in chunks {
+            scope.spawn(move || kernel(a_chunk, a_chunk.len() / k, k, b, n, out_chunk));
+        }
+        kernel(a0, a0.len() / k, k, b, n, out0);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+
+    /// Panics on every chunk except the one holding row 0.
+    fn panic_off_row_zero(a: &[f64], _m: usize, _k: usize, _b: &[f64], _n: usize, _o: &mut [f64]) {
+        assert!(a[0] == 0.0, "deliberate test panic");
+    }
 
     #[test]
     fn effective_threads_is_positive() {
@@ -172,31 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn submitted_jobs_all_run() {
-        let (tx, rx) = mpsc::channel();
-        let jobs: Vec<Job> = (0..6)
-            .map(|i| {
-                let tx = tx.clone();
-                Box::new(move || {
-                    tx.send(i).expect("collector alive");
-                }) as Job
-            })
-            .collect();
-        submit(jobs);
-        drop(tx);
-        let mut got: Vec<i32> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn panicking_job_does_not_kill_the_pool() {
-        submit(vec![Box::new(|| panic!("deliberate test panic")) as Job]);
-        // The pool must still service later jobs.
-        let (tx, rx) = mpsc::channel();
-        submit(vec![Box::new(move || {
-            tx.send(42u32).expect("collector alive");
-        }) as Job]);
-        assert_eq!(rx.recv().expect("job ran"), 42);
+    fn a_panicking_chunk_reaches_the_caller() {
+        let a: Vec<f64> = (0..8).map(f64::from).collect();
+        let mut out = vec![0.0; 8];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            partition_rows(&a, 8, 1, &[1.0], 1, 4, &mut out, panic_off_row_zero);
+        }));
+        assert!(caught.is_err());
     }
 }

@@ -17,7 +17,8 @@
 //! `matmul_tn` accumulates its products in ascending-`k` order in `f32`
 //! with one rounding per step — whether the element was computed inside
 //! a full [`SIMD_MR`]`x`[`SIMD_NR`] register tile, in a tail loop, or
-//! on a pool worker, the per-element operation sequence is identical.
+//! on another thread's row chunk, the per-element operation sequence is
+//! identical.
 //! `matmul_nt` and `gemv` reduce dot products over [`DOT_LANES`]
 //! partial sums combined in a fixed tree. Both schemes depend only on
 //! the operand shapes, never on tiling position, batch size, or thread
@@ -25,14 +26,11 @@
 //! sweeps stay byte-identical — the contract is *tolerance vs the f64
 //! reference*, not nondeterminism.
 //!
-//! Large `matmul` products are row-partitioned over the shared
-//! [`pool`], gated by the same [`pool::parallel_worthwhile`] predicate
-//! as the `Pooled` backend.
+//! Large `matmul` products go through the same row partition as the
+//! `Pooled` backend (`pool::partition_rows`), gated by the same
+//! [`pool::parallel_worthwhile`] predicate.
 
-use std::sync::mpsc::channel;
-use std::sync::Arc;
-
-use crate::pool::{self, Job};
+use crate::pool;
 use crate::{kernels, LinalgError, Matrix};
 
 /// Output rows per register tile.
@@ -52,8 +50,9 @@ fn narrow(src: &[f64]) -> Vec<f32> {
     src.iter().map(|&v| v as f32).collect()
 }
 
-/// `a * b` through the f32 panel kernel, row-partitioned over the pool
-/// when [`pool::parallel_worthwhile`] says the product is big enough.
+/// `a * b` through the f32 panel kernel, row-partitioned over scoped
+/// threads when [`pool::parallel_worthwhile`] says the product is big
+/// enough.
 pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     kernels::check_matmul_dims(a, b)?;
     let (m, k) = a.shape();
@@ -66,67 +65,8 @@ pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     } else {
         1
     };
-    let threads = threads.clamp(1, pool::MAX_POOL_WORKERS).min(m.max(1));
-    if threads <= 1 {
-        panel_into(&a32, m, k, &b32, n, &mut out32);
-    } else {
-        matmul_partitioned(&a32, m, k, b32, n, threads, &mut out32);
-    }
+    pool::partition_rows(&a32, m, k, &b32, n, threads, &mut out32, panel_into);
     Ok(Matrix::from_vec(m, n, widen(&out32)).expect("simd matmul output length"))
-}
-
-/// Row-partitioned dispatch: chunk 0 on the calling thread, the rest as
-/// owned jobs on the shared pool, glued back by chunk index — the same
-/// deterministic scheme as `kernels::matmul_pooled`, over f32 buffers.
-fn matmul_partitioned(
-    a32: &[f32],
-    m: usize,
-    k: usize,
-    b32: Vec<f32>,
-    n: usize,
-    threads: usize,
-    out32: &mut [f32],
-) {
-    let chunk_rows = m.div_ceil(threads);
-    let b_shared: Arc<Vec<f32>> = Arc::new(b32);
-    let (tx, rx) = channel::<(usize, Vec<f32>)>();
-    let mut jobs: Vec<Job> = Vec::with_capacity(threads - 1);
-    let mut row0 = chunk_rows; // chunk 0 stays on the calling thread
-    let mut chunk_idx = 0usize;
-    while row0 < m {
-        let rows_here = chunk_rows.min(m - row0);
-        let a_block = a32[row0 * k..(row0 + rows_here) * k].to_vec();
-        let b_arc = Arc::clone(&b_shared);
-        let tx_chunk = tx.clone();
-        jobs.push(Box::new(move || {
-            let mut local = vec![0.0f32; rows_here * n];
-            panel_into(&a_block, rows_here, k, &b_arc, n, &mut local);
-            let _ = tx_chunk.send((chunk_idx, local));
-        }));
-        row0 += rows_here;
-        chunk_idx += 1;
-    }
-    drop(tx);
-    let submitted = jobs.len();
-    pool::submit(jobs);
-
-    let rows0 = chunk_rows.min(m);
-    panel_into(
-        &a32[..rows0 * k],
-        rows0,
-        k,
-        &b_shared,
-        n,
-        &mut out32[..rows0 * n],
-    );
-
-    for _ in 0..submitted {
-        let (idx, local) = rx
-            .recv()
-            .expect("linalg pool worker dropped its simd matmul chunk (worker panic)");
-        let begin = (idx + 1) * chunk_rows;
-        out32[begin * n..begin * n + local.len()].copy_from_slice(&local);
-    }
 }
 
 /// The register-tiled f32 kernel: `out (m x n) = a (m x k) * b (k x n)`
@@ -378,7 +318,7 @@ mod tests {
         panel_into(&a32, 96, 40, &b32, 24, &mut single);
         for threads in [2, 3, 5, 8] {
             let mut multi = vec![0.0f32; 96 * 24];
-            matmul_partitioned(&a32, 96, 40, b32.clone(), 24, threads, &mut multi);
+            pool::partition_rows(&a32, 96, 40, &b32, 24, threads, &mut multi, panel_into);
             for (x, y) in single.iter().zip(multi.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
             }

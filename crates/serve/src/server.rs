@@ -454,13 +454,23 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     })
 }
 
+/// How long the acceptor waits after a failed `accept` before trying
+/// again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let mut next = 0usize;
     for stream in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Out of fds (EMFILE/ENFILE) the waiting connection stays in
+            // the backlog and the next accept fails at once: pause
+            // rather than spin a core until an fd frees up.
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
         let shard = &shared.shards[next];
         next = (next + 1) % shared.shards.len();
         if shared.fire(&shard.metrics, FaultSite::AcceptReset) {
